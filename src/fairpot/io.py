@@ -177,6 +177,8 @@ class ExperimentConfig:
                 raise ConfigError(f"lambdas must lie in [0, 1], got {lam}")
         if not self.lambdas:
             raise ConfigError("lambdas must be non-empty")
+        if len(set(self.lambdas)) != len(self.lambdas):
+            raise ConfigError(f"lambdas must be distinct, got {list(self.lambdas)}")
         if not 0.0 < self.alpha <= 1.0:
             raise ConfigError(f"alpha must be in (0, 1], got {self.alpha}")
         if self.mode not in ("global", "partial"):
@@ -185,6 +187,8 @@ class ExperimentConfig:
             raise ConfigError(f"direction must be 'b_to_a' or 'a_to_b', got {self.direction!r}")
         if self.method not in METHODS:
             raise ConfigError(f"method must be one of {METHODS}, got {self.method!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.bootstrap_n < 0:
             raise ConfigError("bootstrap_n must be non-negative")
         if not 0.0 < self.split_ratio < 1.0:

@@ -1,10 +1,17 @@
 """Exact optimal transport between 1D empirical distributions.
 
-With squared-distance cost on the line, the monotone coupling obtained by
-sorting both supports and filling mass north-west-corner style is an optimal
-solution of the coupling LP, so no general-purpose solver is needed. Plans are
-stored as sparse (source, target, mass) triples; a monotone plan has at most
-n + m - 1 of them.
+On the line, the monotone coupling -- sort both supports and match their
+quantile functions -- solves the coupling LP for every convex cost, including
+squared distance and |x - y| (Peyre & Cuturi, *Computational Optimal
+Transport*, Sec. 2.6), so no general-purpose solver is needed. The coupling is
+computed without a loop: the cumulative masses (``np.cumsum``) of both sorted
+measures are merged into one grid of distinct levels, and each grid interval
+is assigned to the source and target point whose cumulative mass first
+reaches its upper end (``np.searchsorted``). For uniform measures the grid is kept in integer units
+of 1/(n*m), so plan masses are exact. Plans are stored as sparse (source,
+target, mass) triples; a monotone plan has at most n + m - 1 of them. The
+barycentric projection reduces those triples per source row with
+``np.add.reduceat``.
 """
 
 from __future__ import annotations
@@ -14,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 _MARGINAL_TOL = 1e-10
-_RESIDUAL_SNAP = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,45 +120,23 @@ class TransportPlan:
         return gamma
 
 
-def _monotone_fill_uniform(n: int, m: int) -> list[tuple[int, int, int]]:
-    # Integer bookkeeping: row p holds m units, column q holds n units, one
-    # unit being 1/(n*m) of mass. Exact by construction.
-    triples = []
-    p = q = 0
-    row_left, col_left = m, n
-    while p < n and q < m:
-        take = min(row_left, col_left)
-        triples.append((p, q, take))
-        row_left -= take
-        col_left -= take
-        if row_left == 0:
-            p += 1
-            row_left = m
-        if col_left == 0:
-            q += 1
-            col_left = n
-    return triples
+def _monotone_merge(cu: np.ndarray, cv: np.ndarray):
+    """Cells of the monotone coupling between two sorted measures.
 
-
-def _monotone_fill_general(u: np.ndarray, v: np.ndarray) -> list[tuple[int, int, float]]:
-    triples = []
-    p = q = 0
-    row_left, col_left = float(u[0]), float(v[0])
-    while p < len(u) and q < len(v):
-        take = min(row_left, col_left)
-        if take > 0.0:
-            triples.append((p, q, take))
-        row_left -= take
-        col_left -= take
-        if row_left <= _RESIDUAL_SNAP:
-            p += 1
-            if p < len(u):
-                row_left = float(u[p])
-        if col_left <= _RESIDUAL_SNAP:
-            q += 1
-            if q < len(v):
-                col_left = float(v[q])
-    return triples
+    ``cu`` and ``cv`` are the cumulative masses of the sorted source and target
+    weights. The coupling fills mass along the merged grid of both: every
+    interval between consecutive grid levels belongs to exactly one source
+    point and one target point, the first ones whose cumulative mass reaches
+    the interval's upper end. Returns (source ranks, target ranks, masses).
+    """
+    # A stable sort merges the two sorted runs in linear time (np.union1d takes
+    # a much slower hash path on int64). Repeated levels and zero-mass points
+    # add no interval, and past the smaller total (the larger can overshoot it
+    # by float dust) nothing is left to couple.
+    levels = np.sort(np.concatenate((cu, cv)), kind="stable")
+    levels = levels[(np.diff(levels, prepend=0) > 0) & (levels <= min(cu[-1], cv[-1]))]
+    take = np.diff(levels, prepend=0)
+    return np.searchsorted(cu, levels), np.searchsorted(cv, levels), take
 
 
 def solve_ot_1d(source: EmpiricalMeasure, target: EmpiricalMeasure) -> TransportPlan:
@@ -167,16 +151,19 @@ def solve_ot_1d(source: EmpiricalMeasure, target: EmpiricalMeasure) -> Transport
     tgt_order = np.argsort(target.support, kind="stable")
 
     if source.is_uniform and target.is_uniform:
-        unit = 1.0 / (n * m)
-        triples = [(p, q, units * unit) for p, q, units in _monotone_fill_uniform(n, m)]
+        # Integer bookkeeping: a source point holds m units, a target point n
+        # units, one unit being 1/(n*m) of mass. Exact by construction.
+        p, q, units = _monotone_merge(
+            np.arange(1, n + 1, dtype=np.int64) * m, np.arange(1, m + 1, dtype=np.int64) * n
+        )
+        mass = units * (1.0 / (n * m))
     else:
-        triples = _monotone_fill_general(
-            source.weights[src_order], target.weights[tgt_order]
+        p, q, mass = _monotone_merge(
+            np.cumsum(source.weights[src_order]), np.cumsum(target.weights[tgt_order])
         )
 
-    src_idx = np.array([src_order[p] for p, _, _ in triples], dtype=np.int64)
-    tgt_idx = np.array([tgt_order[q] for _, q, _ in triples], dtype=np.int64)
-    mass = np.array([w for _, _, w in triples], dtype=float)
+    src_idx = src_order[p]
+    tgt_idx = tgt_order[q]
     order = np.lexsort((tgt_idx, src_idx))
     return TransportPlan(
         source_idx=src_idx[order],
@@ -198,9 +185,13 @@ def plan_cost(plan: TransportPlan, source_support, target_support) -> float:
 def barycentric_projection(plan: TransportPlan, target_support) -> np.ndarray:
     """Map each source point to the mass-weighted mean of its coupled targets.
 
-    Rows with a single coupled target return that target value exactly; rows
-    with several are clamped to the range of their own targets so the output
-    never leaves the coupled hull by floating-point dust.
+    The triples are sorted by (source, target), so each source row is one
+    contiguous run; ``np.add.reduceat`` over the runs gives every row's
+    coupled mass and mass-weighted target sum at once, and
+    ``np.minimum.reduceat``/``np.maximum.reduceat`` its coupled hull. Rows
+    with a single coupled target return that target value exactly; rows with
+    several are clamped to the range of their own targets so the output never
+    leaves the coupled hull by floating-point dust.
     """
     zt = np.asarray(target_support, dtype=float)
     if len(zt) != plan.target_n:
@@ -209,20 +200,16 @@ def barycentric_projection(plan: TransportPlan, target_support) -> np.ndarray:
         )
     order = np.lexsort((plan.target_idx, plan.source_idx))
     src = plan.source_idx[order]
-    tgt = plan.target_idx[order]
+    vals = zt[plan.target_idx[order]]
     mass = plan.masses[order]
+    starts = np.flatnonzero(np.diff(src, prepend=-1))  # first triple of each row
+    with np.errstate(invalid="ignore"):  # a massless row gives nan, reported below
+        avg = np.add.reduceat(mass * vals, starts) / np.add.reduceat(mass, starts)
+    row = np.clip(avg, np.minimum.reduceat(vals, starts), np.maximum.reduceat(vals, starts))
+    single = np.diff(starts, append=len(src)) == 1
+    row[single] = vals[starts[single]]
     out = np.full(plan.source_n, np.nan)
-    boundaries = np.flatnonzero(np.diff(src)) + 1
-    for chunk in np.split(np.arange(len(mass)), boundaries):
-        i = int(src[chunk[0]])
-        cols = tgt[chunk]
-        w = mass[chunk]
-        if len(chunk) == 1:
-            out[i] = zt[cols[0]]
-        else:
-            vals = zt[cols]
-            avg = float(np.dot(w, vals) / w.sum())
-            out[i] = min(max(avg, vals.min()), vals.max())
+    out[src[starts]] = row
     if np.any(np.isnan(out)):
         missing = np.flatnonzero(np.isnan(out))
         raise ValueError(f"plan carries no mass for source rows {missing.tolist()}")
@@ -230,26 +217,8 @@ def barycentric_projection(plan: TransportPlan, target_support) -> np.ndarray:
 
 
 def wasserstein1_distance(p: EmpiricalMeasure, q: EmpiricalMeasure) -> float:
-    """Exact W1 distance via integration of the quantile-function gap."""
-    xp = np.sort(np.asarray(p.support, dtype=float))
-    xq = np.sort(np.asarray(q.support, dtype=float))
-    wp = p.weights[np.argsort(p.support, kind="stable")]
-    wq = q.weights[np.argsort(q.support, kind="stable")]
-
-    cp = np.cumsum(wp)
-    cq = np.cumsum(wq)
-    levels = np.union1d(cp, cq)
-    levels = levels[levels > 0.0]
-
-    total = 0.0
-    prev = 0.0
-    ip = iq = 0
-    for t in levels:
-        # quantile values are constant on (prev, t]
-        while ip < len(cp) - 1 and cp[ip] <= prev + _RESIDUAL_SNAP:
-            ip += 1
-        while iq < len(cq) - 1 and cq[iq] <= prev + _RESIDUAL_SNAP:
-            iq += 1
-        total += (t - prev) * abs(xp[ip] - xq[iq])
-        prev = t
-    return float(total)
+    """Exact W1 distance: the monotone coupling is optimal for |x - y| too,
+    so W1 is the mass-weighted gap between the quantile functions."""
+    plan = solve_ot_1d(p, q)
+    gap = np.abs(p.support[plan.source_idx] - q.support[plan.target_idx])
+    return float(np.sum(plan.masses * gap))

@@ -119,20 +119,27 @@ def apply_phi(
     if plan.source_n != len(b) or plan.target_n != len(a):
         raise ValueError("plan dimensions do not match the given score vectors")
     n_top = ceil_count(lam, len(b))
-    out = b.copy()
     if n_top == 0:
-        top = np.empty(0, dtype=np.int64)
+        out, top = b.copy(), np.empty(0, dtype=np.int64)
     else:
         order = np.argsort(-b, kind="stable")
+        out = _move_top(b, order, barycentric_projection(plan, a), n_top)
         top = np.sort(order[:n_top])
-        projected = barycentric_projection(plan, a)
-        out[top] = projected[top]
     return PartialTransportResult(
         lam=lam,
         transported_scores=out,
         transported_index_set=top,
         n_transported=n_top,
     )
+
+
+def _move_top(scores: np.ndarray, desc_order: np.ndarray, projected: np.ndarray, n_top: int):
+    """``scores`` with its ``n_top`` highest entries, taken in ``desc_order``
+    (descending, ties by lower index), replaced by their projections."""
+    top = desc_order[:n_top]
+    out = scores.copy()
+    out[top] = projected[top]
+    return out
 
 
 def build_score_map(original_train, transported_train) -> ScoreMap:
@@ -149,12 +156,10 @@ def build_score_map(original_train, transported_train) -> ScoreMap:
         raise ValueError("original and transported score vectors must align")
     order = np.argsort(x, kind="stable")
     xs, ys = x[order], y[order]
-    ux, start = np.unique(xs, return_index=True)
+    ux, start, counts = np.unique(xs, return_index=True, return_counts=True)
     if len(ux) == len(xs):
         return ScoreMap(knots_x=ux, knots_y=ys)
-    bounds = np.append(start, len(xs))
-    uy = np.array([ys[lo:hi].mean() for lo, hi in zip(bounds[:-1], bounds[1:])])
-    return ScoreMap(knots_x=ux, knots_y=uy)
+    return ScoreMap(knots_x=ux, knots_y=np.add.reduceat(ys, start) / counts)
 
 
 def apply_psi(score_map: ScoreMap, scores_b_test) -> np.ndarray:
@@ -190,20 +195,6 @@ def _moving_reference(direction: str) -> tuple[str, str]:
     if direction not in DIRECTIONS:
         raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
     return (GROUP_B, GROUP_A) if direction == "b_to_a" else (GROUP_A, GROUP_B)
-
-
-def _transform_test_scores(
-    mov_train: np.ndarray,
-    ref_train: np.ndarray,
-    plan: TransportPlan,
-    mov_test: np.ndarray,
-    lam: float,
-) -> np.ndarray:
-    if lam == 0.0:
-        return mov_test.copy()
-    phi = apply_phi(mov_train, plan, ref_train, lam)
-    score_map = build_score_map(mov_train, phi.transported_scores)
-    return apply_psi(score_map, mov_test)
 
 
 def sweep(
@@ -251,11 +242,25 @@ def sweep(
         if len(mov_train) == 0 or len(ref_train) == 0:
             raise ValueError("top region of the training set is missing a group")
 
+    # Everything but the top-k slice is lambda-independent: project once, rank
+    # the moving group once, and presort the score-map knots and test queries.
+    # Pairs are presorted stably by original score, so each build_score_map
+    # merges its tie groups in the same order as on the unsorted pairs.
     plan = fit_transport(ref_train, mov_train)
+    projected = barycentric_projection(plan, ref_train)
+    desc_order = np.argsort(-mov_train, kind="stable")
+    knot_order = np.argsort(mov_train, kind="stable")
+    sorted_train = mov_train[knot_order]
+    test_order = np.argsort(mov_test, kind="stable")
+    sorted_test = mov_test[test_order]
 
     points = []
     for lam in lambdas:
-        transformed = _transform_test_scores(mov_train, ref_train, plan, mov_test, lam)
+        transformed = mov_test.copy()
+        if lam != 0.0:
+            moved = _move_top(mov_train, desc_order, projected, ceil_count(lam, len(mov_train)))
+            score_map = build_score_map(sorted_train, moved[knot_order])
+            transformed[test_order] = apply_psi(score_map, sorted_test)
         merged = eval_set.replace_group_scores(moving, transformed)
         if mode == "global":
             accuracy = metrics.auc(merged)

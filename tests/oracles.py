@@ -98,6 +98,74 @@ def lp_transport(source_support, source_weights, target_support, target_weights)
     return float(res.fun), res.x.reshape(n, m)
 
 
+def loop_uniform_plan(source_support, target_support):
+    """Monotone coupling of two uniform measures by walking both sorted
+    supports one cell at a time, in integer units of 1/(n*m) of mass.
+
+    Returns (source index, target index, mass) arrays sorted by (source,
+    target) in the original index order.
+    """
+    n, m = len(source_support), len(target_support)
+    src_order = np.argsort(np.asarray(source_support, dtype=float), kind="stable")
+    tgt_order = np.argsort(np.asarray(target_support, dtype=float), kind="stable")
+    cells = []
+    p = q = 0
+    row_left, col_left = m, n
+    while p < n and q < m:
+        take = min(row_left, col_left)
+        cells.append((int(src_order[p]), int(tgt_order[q]), take * (1.0 / (n * m))))
+        row_left -= take
+        col_left -= take
+        if row_left == 0:
+            p += 1
+            row_left = m
+        if col_left == 0:
+            q += 1
+            col_left = n
+    cells.sort(key=lambda c: (c[0], c[1]))
+    src, tgt, mass = zip(*cells)
+    return np.array(src), np.array(tgt), np.array(mass)
+
+
+def loop_barycentric_projection(source_idx, target_idx, masses, target_support, n_source):
+    """Per-row mass-weighted target mean: a single coupled target is returned
+    as is, several are averaged with ``np.dot`` and clamped to their range."""
+    src, tgt, mass = np.asarray(source_idx), np.asarray(target_idx), np.asarray(masses)
+    zt = np.asarray(target_support, dtype=float)
+    out = np.full(n_source, np.nan)
+    for i in range(n_source):
+        rows = np.flatnonzero(src == i)
+        rows = rows[np.argsort(tgt[rows], kind="stable")]
+        vals = zt[tgt[rows]]
+        w = mass[rows]
+        if len(rows) == 1:
+            out[i] = vals[0]
+        elif len(rows) > 1:
+            avg = float(np.dot(w, vals) / w.sum())
+            out[i] = min(max(avg, vals.min()), vals.max())
+    return out
+
+
+def loop_tie_merge(original, transported):
+    """Knots of the score map: sorted distinct originals, each carrying the
+    mean of its records' transported scores (merged in record order)."""
+    x = np.asarray(original, dtype=float)
+    y = np.asarray(transported, dtype=float)
+    order = np.argsort(x, kind="stable")
+    xs, ys = x[order], y[order]
+    knots_x, knots_y, sizes = [], [], []
+    lo = 0
+    while lo < len(xs):
+        hi = lo
+        while hi < len(xs) and xs[hi] == xs[lo]:
+            hi += 1
+        knots_x.append(xs[lo])
+        knots_y.append(ys[lo:hi].mean())
+        sizes.append(hi - lo)
+        lo = hi
+    return np.array(knots_x), np.array(knots_y), np.array(sizes)
+
+
 def dominates(p: TradeoffPoint, q: TradeoffPoint) -> bool:
     return (
         p.disparity <= q.disparity

@@ -263,6 +263,22 @@ class TestExitCodes:
         )
         assert run("sweep", "--config", cfg) in (1, 2)
 
+    def test_negative_seed_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, output_dir=str(tmp_path), bootstrap_n=2, seed=-1)
+        assert run("sweep", "--config", cfg) == 2
+        assert run("sweep", "--config", write_config(tmp_path, output_dir=str(tmp_path)),
+                   "--seed", "-3") == 2
+        assert "seed must be non-negative" in capsys.readouterr().err
+        assert not (tmp_path / "sweep_fairpot_global_results.csv").exists()
+
+    def test_duplicate_lambdas_rejected(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path, output_dir=str(tmp_path), bootstrap_n=1, lambdas=[0.0, 0.5, 0.5]
+        )
+        assert run("sweep", "--config", cfg) == 2
+        assert "lambdas must be distinct" in capsys.readouterr().err
+        assert not (tmp_path / "sweep_fairpot_global_results.csv").exists()
+
     def test_bad_subcommand(self):
         with pytest.raises(SystemExit) as exc:
             run("explode")

@@ -278,3 +278,63 @@ class TestSweep:
         train, test = random_split_sets(910)
         with pytest.raises(ValueError):
             sweep(train, test, [0.0], mode="partial")
+
+
+def reference_sweep(train, test, lambdas, mode, alpha, direction):
+    """Sweep rebuilt per lambda from the public phi -> score map -> psi chain.
+
+    Returns the evaluated test scores and the (accuracy, disparity) per lambda.
+    """
+    moving, reference = ("b", "a") if direction == "b_to_a" else ("a", "b")
+    if mode == "partial":
+        train = train.subset(metrics.top_alpha_region(train, alpha).member_indices)
+        test = test.subset(metrics.top_alpha_region(test, alpha).member_indices)
+    mov, ref = train.group_scores(moving), train.group_scores(reference)
+    plan = fit_transport(ref, mov)
+    scores, values = [], []
+    for lam in lambdas:
+        transformed = test.group_scores(moving)
+        if lam != 0.0:
+            phi = apply_phi(mov, plan, ref, lam)
+            score_map = build_score_map(mov, phi.transported_scores)
+            transformed = apply_psi(score_map, transformed)
+        merged = test.replace_group_scores(moving, transformed)
+        scores.append(merged.scores)
+        if mode == "global":
+            values.append((metrics.auc(merged), metrics.xauc_disparity(merged)))
+        else:
+            whole = metrics.top_alpha_region(merged, 1.0)
+            values.append((metrics.pauc(merged, whole), metrics.pxauc_disparity(merged, whole)))
+    return scores, values
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("direction", ["b_to_a", "a_to_b"])
+@pytest.mark.parametrize("mode", ["global", "partial"])
+def test_sweep_equals_per_lambda_pipeline_with_ties(mode, direction, seed, monkeypatch):
+    # a small score pool ties many train and test scores, inside and across groups;
+    # lambda 1e-15 moves no score but still sends test scores through the clamped map
+    rng = np.random.default_rng(950 + seed)
+    pool = rng.random(25)
+    train = oracles.random_score_set(rng, 300, score_pool=pool)
+    test = oracles.random_score_set(rng, 200, score_pool=np.append(pool[:15], rng.random(10)))
+    lams = [0.0, 1e-15, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0]
+    alpha = 0.6 if mode == "partial" else None
+
+    # record the test scores each lambda is evaluated on
+    seen = []
+    first_metric = "auc" if mode == "global" else "pauc"
+    evaluate = getattr(metrics, first_metric)
+
+    def recording(s, *rest):
+        seen.append(s.scores)
+        return evaluate(s, *rest)
+
+    monkeypatch.setattr(metrics, first_metric, recording)
+    points = sweep(train, test, lams, mode=mode, alpha=alpha, direction=direction)
+    monkeypatch.undo()
+
+    scores, values = reference_sweep(train, test, lams, mode, alpha, direction)
+    assert len(seen) == len(scores)
+    assert all(np.array_equal(got, want) for got, want in zip(seen, scores))
+    assert [(p.accuracy, p.disparity) for p in points] == values
