@@ -11,6 +11,7 @@ import argparse
 import dataclasses
 import sys
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -28,23 +29,17 @@ from .io import (
     ExperimentConfig,
     ScoreFileError,
     SweepRow,
+    group_sweep_rows,
     read_config,
     read_score_file,
     read_sweep_results,
     write_score_file,
     write_sweep_results,
+    write_sweep_summary,
 )
 from .metrics import GROUP_B, ScoreSet
 from .pareto import TradeoffPoint, pareto_frontier
 from .svg import render_tradeoff_svg
-
-SUMMARY_HEADER = (
-    "method,lambda,alpha,n_ok,accuracy_mean,accuracy_se,disparity_mean,disparity_se,on_frontier"
-)
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".10g")
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -91,79 +86,48 @@ def _resample(score_set: ScoreSet, rng: np.random.Generator) -> ScoreSet:
     return score_set.subset(idx)
 
 
-def _eval_unadjusted(test: ScoreSet, mode: str, alpha: float) -> tuple[float, float]:
-    if mode == "global":
-        return metrics.auc(test), metrics.xauc_disparity(test)
-    region = metrics.top_alpha_region(test, alpha)
-    sub = test.subset(region.member_indices)
-    whole = metrics.top_alpha_region(sub, 1.0)
-    return metrics.pauc(sub, whole), metrics.pxauc_disparity(sub, whole)
+def _top_region(config: ExperimentConfig, score_set: ScoreSet) -> ScoreSet:
+    """The records a baseline is fitted on or evaluated on: all of them in
+    global mode, the top-alpha region in partial mode."""
+    if config.mode == "global":
+        return score_set
+    return score_set.subset(metrics.top_alpha_region(score_set, config.alpha).member_indices)
 
 
-def _eval_transformed(test_sub: ScoreSet, mode: str) -> tuple[float, float]:
-    if mode == "global":
-        return metrics.auc(test_sub), metrics.xauc_disparity(test_sub)
-    whole = metrics.top_alpha_region(test_sub, 1.0)
-    return metrics.pauc(test_sub, whole), metrics.pxauc_disparity(test_sub, whole)
-
-
-def _region_subsets(train: ScoreSet, test: ScoreSet, alpha: float) -> tuple[ScoreSet, ScoreSet]:
-    train_sub = train.subset(metrics.top_alpha_region(train, alpha).member_indices)
-    test_sub = test.subset(metrics.top_alpha_region(test, alpha).member_indices)
-    return train_sub, test_sub
-
-
-def _run_method(
-    config: ExperimentConfig, train: ScoreSet, test: ScoreSet, replicate: int
-) -> list[TradeoffPoint]:
-    mode, alpha = config.mode, config.alpha
-    if config.method == "fairpot":
-        return transport.sweep(
-            train,
-            test,
-            config.lambdas,
-            mode=mode,
-            alpha=alpha if mode == "partial" else None,
-            direction=config.direction,
-            method_tag="fairpot",
-            replicate_id=replicate,
-        )
+def _fit_baseline(
+    config: ExperimentConfig, train: ScoreSet
+) -> Callable[[ScoreSet], ScoreSet]:
+    """Fit a non-fairpot method on ``train`` and return the map that adjusts an
+    evaluation set (see ``_top_region``)."""
     if config.method == "unadjusted":
-        acc, disp = _eval_unadjusted(test, mode, alpha)
-        return [TradeoffPoint(0.0, acc, disp, "unadjusted", replicate)]
-
-    if mode == "partial":
-        fit_set, eval_set = _region_subsets(train, test, alpha)
-    else:
-        fit_set, eval_set = train, test
-
+        return lambda eval_set: eval_set
+    fit_set = _top_region(config, train)
     if config.method == "post-logit":
         params = baselines.fit_post_logit(fit_set)
-        transformed = eval_set.replace_group_scores(
+        return lambda eval_set: eval_set.replace_group_scores(
             GROUP_B, baselines.apply_post_logit(params, eval_set.group_scores(GROUP_B))
         )
-    else:
-        transformed = baselines.wasserstein_fair(fit_set, eval_set)
-    acc, disp = _eval_transformed(transformed, mode)
-    return [TradeoffPoint(0.0, acc, disp, config.method, replicate)]
+    return lambda eval_set: baselines.wasserstein_fair(fit_set, eval_set)
+
+
+def _evaluate(config: ExperimentConfig, eval_set: ScoreSet) -> tuple[float, float]:
+    if config.mode == "global":
+        return metrics.auc(eval_set), metrics.xauc_disparity(eval_set)
+    whole = metrics.top_alpha_region(eval_set, 1.0)
+    return metrics.pauc(eval_set, whole), metrics.pxauc_disparity(eval_set, whole)
 
 
 def _mean_points(rows: list[SweepRow]) -> list[TradeoffPoint]:
-    keys = sorted({(r.method, r.lam) for r in rows if not r.failed})
-    points = []
-    for method, lam in keys:
-        acc = [r.accuracy for r in rows if (r.method, r.lam) == (method, lam) and not r.failed]
-        disp = [r.disparity for r in rows if (r.method, r.lam) == (method, lam) and not r.failed]
-        points.append(
-            TradeoffPoint(lam, float(np.mean(acc)), float(np.mean(disp)), method, len(acc))
+    return [
+        TradeoffPoint(
+            lam,
+            float(np.mean([r.accuracy for r in group])),
+            float(np.mean([r.disparity for r in group])),
+            method,
+            len(group),
         )
-    return points
-
-
-def _stderr(values: list[float]) -> float:
-    if len(values) < 2:
-        return 0.0
-    return float(np.std(values, ddof=1) / np.sqrt(len(values)))
+        for (method, lam), group in group_sweep_rows(rows).items()
+    ]
 
 
 def cmd_synth(args) -> int:
@@ -193,6 +157,16 @@ def cmd_sweep(args) -> int:
         base_train = read_score_file(config.train_path)
         base_test = read_score_file(config.test_path)
 
+    # A baseline's fit depends on the training set only. In file mode that set
+    # is the same for every replicate, so fit once; a fit error then fails
+    # each replicate, after its evaluation set is drawn.
+    transform = fit_error = None
+    if file_mode and config.method != "fairpot":
+        try:
+            transform = _fit_baseline(config, base_train)
+        except ValueError as exc:
+            fit_error = exc
+
     alpha_out = config.alpha if config.mode == "partial" else 1.0
     rows: list[SweepRow] = []
     failures = 0
@@ -209,8 +183,26 @@ def cmd_sweep(args) -> int:
                 train, test = _synthetic_scored_split(
                     config, config.seed + rep if resample else config.seed
                 )
-            points = _run_method(config, train, test, rep)
-        except ValueError as exc:
+            if config.method == "fairpot":
+                points = transport.sweep(
+                    train,
+                    test,
+                    config.lambdas,
+                    mode=config.mode,
+                    alpha=config.alpha if config.mode == "partial" else None,
+                    direction=config.direction,
+                    method_tag="fairpot",
+                    replicate_id=rep,
+                )
+            else:
+                if not file_mode:
+                    transform = _fit_baseline(config, train)
+                eval_set = _top_region(config, test)
+                if fit_error is not None:
+                    raise fit_error
+                acc, disp = _evaluate(config, transform(eval_set))
+                points = [TradeoffPoint(0.0, acc, disp, config.method, rep)]
+        except (ValueError, RuntimeError) as exc:
             print(f"replicate {rep}: {exc}", file=sys.stderr)
             failures += 1
             rows.append(
@@ -241,25 +233,7 @@ def cmd_sweep(args) -> int:
     print(f"wrote {results_path} ({len(rows)} rows)")
 
     summary_path = out_dir / f"{prefix}_summary.csv"
-    with summary_path.open("w", newline="") as fh:
-        fh.write(SUMMARY_HEADER + "\n")
-        for p in sorted(means, key=lambda p: (p.method_tag, p.lam)):
-            acc = [
-                r.accuracy
-                for r in rows
-                if (r.method, r.lam) == (p.method_tag, p.lam) and not r.failed
-            ]
-            disp = [
-                r.disparity
-                for r in rows
-                if (r.method, r.lam) == (p.method_tag, p.lam) and not r.failed
-            ]
-            flag = "true" if (p.method_tag, p.lam) in on_frontier else "false"
-            fh.write(
-                f"{p.method_tag},{_fmt(p.lam)},{_fmt(alpha_out)},{len(acc)},"
-                f"{_fmt(np.mean(acc))},{_fmt(_stderr(acc))},"
-                f"{_fmt(np.mean(disp))},{_fmt(_stderr(disp))},{flag}\n"
-            )
+    write_sweep_summary(rows, summary_path)
     print(f"wrote {summary_path}")
 
     if args.plot:

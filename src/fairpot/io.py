@@ -9,6 +9,9 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
+from collections import defaultdict
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -18,6 +21,10 @@ from .metrics import GROUPS, ScoreSet
 
 SCORE_HEADER = ["id", "score", "label", "group"]
 SWEEP_HEADER = ["method", "lambda", "alpha", "replicate", "accuracy", "disparity", "on_frontier"]
+SUMMARY_HEADER = [
+    "method", "lambda", "alpha", "n_ok",
+    "accuracy_mean", "accuracy_se", "disparity_mean", "disparity_se", "on_frontier",
+]
 
 DEFAULT_LAMBDAS = tuple(i / 10 for i in range(11))
 
@@ -36,9 +43,24 @@ def _fmt(x: float) -> str:
     return format(float(x), ".10g")
 
 
-def write_score_file(score_set: ScoreSet, path) -> None:
+@contextmanager
+def open_atomic(path, mode: str = "w"):
+    """Open a temporary file beside ``path`` for writing and move it over
+    ``path`` only when the block completes, so readers see the old file or
+    the whole new one. On an exception the temporary file is removed."""
     path = Path(path)
-    with path.open("w", newline="") as fh:
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open(mode, newline=None if "b" in mode else "") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_score_file(score_set: ScoreSet, path) -> None:
+    with open_atomic(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(SCORE_HEADER)
         for i, (s, y, g) in enumerate(
@@ -106,8 +128,7 @@ class SweepRow:
 
 
 def write_sweep_results(rows: list[SweepRow], path) -> None:
-    path = Path(path)
-    with path.open("w", newline="") as fh:
+    with open_atomic(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(SWEEP_HEADER)
         for r in rows:
@@ -121,6 +142,38 @@ def write_sweep_results(rows: list[SweepRow], path) -> None:
                     _fmt(r.disparity),
                     "true" if r.on_frontier else "false",
                 ]
+            )
+
+
+def group_sweep_rows(rows: list[SweepRow]) -> dict[tuple[str, float], list[SweepRow]]:
+    """Successful rows by (method, lambda), keys in sorted order, each group's
+    rows in input order."""
+    groups: dict[tuple[str, float], list[SweepRow]] = defaultdict(list)
+    for r in rows:
+        if not r.failed:
+            groups[(r.method, r.lam)].append(r)
+    return dict(sorted(groups.items()))
+
+
+def _stderr(values: list[float]) -> float:
+    if len(values) < 2:
+        return 0.0
+    return float(np.std(values, ddof=1) / np.sqrt(len(values)))
+
+
+def write_sweep_summary(rows: list[SweepRow], path) -> None:
+    """Per-(method, lambda) replicate count, means and standard errors of the
+    successful rows; alpha and the frontier flag come from those rows."""
+    with open_atomic(path) as fh:
+        fh.write(",".join(SUMMARY_HEADER) + "\n")
+        for (method, lam), group in group_sweep_rows(rows).items():
+            acc = [r.accuracy for r in group]
+            disp = [r.disparity for r in group]
+            flag = "true" if group[0].on_frontier else "false"
+            fh.write(
+                f"{method},{_fmt(lam)},{_fmt(group[0].alpha)},{len(acc)},"
+                f"{_fmt(np.mean(acc))},{_fmt(_stderr(acc))},"
+                f"{_fmt(np.mean(disp))},{_fmt(_stderr(disp))},{flag}\n"
             )
 
 
@@ -187,6 +240,11 @@ class ExperimentConfig:
             raise ConfigError(f"direction must be 'b_to_a' or 'a_to_b', got {self.direction!r}")
         if self.method not in METHODS:
             raise ConfigError(f"method must be one of {METHODS}, got {self.method!r}")
+        if self.method == "post-logit" and self.direction != "b_to_a":
+            raise ConfigError(
+                f"post-logit rescales group b only; direction must be 'b_to_a', "
+                f"got {self.direction!r}"
+            )
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.bootstrap_n < 0:

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
-from pathlib import Path
+
+from .io import open_atomic
 
 WIDTH, HEIGHT = 640, 480
 MARGIN_LEFT, MARGIN_RIGHT = 70, 20
@@ -115,4 +116,5 @@ def render_tradeoff_svg(
         for x, y in frontier:
             ET.SubElement(ring, "circle", cx=_fmt(sx(x)), cy=_fmt(sy(y)), r="6")
 
-    Path(path).write_bytes(ET.tostring(root))
+    with open_atomic(path, "wb") as fh:
+        fh.write(ET.tostring(root))

@@ -2,7 +2,8 @@
 
 Everything here is deliberately naive: all-pairs enumeration for rank metrics
 and dominance, and a generic LP solver for transport plans. None of it shares
-code with the library.
+code with the library, except the ``loop_*`` references: straightforward loop
+versions of vectorized library paths, which the fast paths must match.
 """
 
 from __future__ import annotations
@@ -10,7 +11,13 @@ from __future__ import annotations
 import numpy as np
 from scipy.optimize import linprog
 
-from fairpot.metrics import GROUP_A, GROUP_B, ScoreSet
+from fairpot.baselines import (
+    DEFAULT_OFFSET,
+    DEFAULT_SCALE_GRID,
+    PostLogitParams,
+    apply_post_logit,
+)
+from fairpot.metrics import GROUP_A, GROUP_B, ScoreSet, xauc_disparity
 from fairpot.pareto import TradeoffPoint
 
 
@@ -164,6 +171,33 @@ def loop_tie_merge(original, transported):
         sizes.append(hi - lo)
         lo = hi
     return np.array(knots_x), np.array(knots_y), np.array(sizes)
+
+
+def loop_fit_post_logit(
+    train: ScoreSet,
+    grid=DEFAULT_SCALE_GRID,
+    offset: float = DEFAULT_OFFSET,
+) -> PostLogitParams:
+    """Scale search that rebuilds the rescaled training set for every grid
+    scale and scores it with ``xauc_disparity``; ties go to the smallest scale."""
+    grid = tuple(float(g) for g in grid)
+    if not grid:
+        raise ValueError("post-logit scale grid is empty")
+    if not np.any(train.group_mask(GROUP_A)) or not np.any(train.group_mask(GROUP_B)):
+        raise ValueError("post-logit fitting needs both groups in the training set")
+    scores_b = train.group_scores(GROUP_B)
+    best_scale = None
+    best_disparity = np.inf
+    for scale in sorted(grid):
+        candidate = PostLogitParams(scale=scale, offset=offset, grid=grid)
+        transformed = train.replace_group_scores(
+            GROUP_B, apply_post_logit(candidate, scores_b)
+        )
+        disparity = xauc_disparity(transformed)
+        if disparity < best_disparity:
+            best_disparity = disparity
+            best_scale = scale
+    return PostLogitParams(scale=best_scale, offset=offset, grid=grid)
 
 
 def dominates(p: TradeoffPoint, q: TradeoffPoint) -> bool:

@@ -1,13 +1,15 @@
 """End-to-end tests for the command-line harness."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fairpot import metrics
+from fairpot import baselines, cli, datagen, metrics
 from fairpot.cli import main
-from fairpot.io import read_score_file, read_sweep_results
+from fairpot.io import read_score_file, read_sweep_results, write_score_file
+from fairpot.metrics import ScoreSet
 
 import oracles
 
@@ -196,6 +198,99 @@ class TestSweep:
             assert any(not r.failed for r in rows)
 
 
+class TestBaselineFits:
+    def test_file_mode_fits_post_logit_once_per_sweep(self, tmp_path, monkeypatch):
+        paths = write_golden_inputs(tmp_path)
+        calls = []
+        real_fit = baselines.fit_post_logit
+
+        def counting_fit(train, *args, **kwargs):
+            calls.append(len(train))
+            return real_fit(train, *args, **kwargs)
+
+        monkeypatch.setattr(baselines, "fit_post_logit", counting_fit)
+        for mode in ("global", "partial"):
+            calls.clear()
+            cfg = write_config(
+                tmp_path,
+                output_dir=str(tmp_path),
+                bootstrap_n=5,
+                train_path=str(paths["train"]),
+                test_path=str(paths["test"]),
+            )
+            assert run("sweep", "--config", cfg, "--method", "post-logit", "--mode", mode) == 0
+            assert len(read_sweep_results(tmp_path / f"sweep_post-logit_{mode}_results.csv")) == 5
+            assert calls == [240 if mode == "global" else 72]
+
+    @pytest.mark.parametrize(
+        "method, message",
+        [
+            ("post-logit", "post-logit fitting needs both groups in the training set"),
+            ("wasserstein", "train set contains no group 'b' records"),
+        ],
+    )
+    def test_file_mode_fit_failure_fails_every_replicate(self, tmp_path, capsys, method, message):
+        # group b scores all sit below group a's, so the train top region has no b
+        rng = np.random.default_rng(3)
+        train = oracles.random_score_set(rng, 60)
+        train = ScoreSet(
+            scores=np.where(train.group_mask("a"), 0.5 + train.scores / 2, train.scores / 2),
+            labels=train.labels,
+            groups=train.groups,
+        )
+        write_score_file(train, tmp_path / "train.csv")
+        write_score_file(oracles.random_score_set(rng, 40), tmp_path / "test.csv")
+        cfg = write_config(
+            tmp_path,
+            output_dir=str(tmp_path),
+            bootstrap_n=3,
+            train_path=str(tmp_path / "train.csv"),
+            test_path=str(tmp_path / "test.csv"),
+        )
+        assert run("sweep", "--config", cfg, "--method", method, "--mode", "partial",
+                   "--alpha", "0.3") == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"replicate {rep}: {message}" for rep in range(3)
+        ] + ["error: all replicates failed"]
+        assert not list(tmp_path.glob("sweep_*"))
+
+
+class TestReplicateFailures:
+    def _fail_calibration(self, monkeypatch, bad_seeds):
+        """Make intercept calibration raise for the cohorts of ``bad_seeds``."""
+        real_generate, real_calibrate = datagen.generate_synthetic, datagen.calibrate_intercept
+
+        def diverging(*args):
+            raise RuntimeError("intercept calibration did not converge")
+
+        def generate(cfg):
+            calibrate = diverging if cfg.seed in bad_seeds else real_calibrate
+            monkeypatch.setattr(datagen, "calibrate_intercept", calibrate)
+            return real_generate(cfg)
+
+        monkeypatch.setattr(cli, "generate_synthetic", generate)
+
+    def test_calibration_error_fails_one_replicate(self, tmp_path, monkeypatch, capsys):
+        self._fail_calibration(monkeypatch, bad_seeds={1})
+        cfg = write_config(tmp_path, output_dir=str(tmp_path), bootstrap_n=3, seed=0)
+        assert run("sweep", "--config", cfg, "--method", "unadjusted") == 0
+        rows = read_sweep_results(tmp_path / "sweep_unadjusted_global_results.csv")
+        assert [r.replicate for r in rows if r.failed] == [1]
+        assert len(rows) == 3
+        err = capsys.readouterr().err
+        assert "replicate 1: intercept calibration did not converge" in err
+
+    def test_calibration_error_in_every_replicate_exits_one(self, tmp_path, monkeypatch, capsys):
+        self._fail_calibration(monkeypatch, bad_seeds={0, 1})
+        cfg = write_config(tmp_path, output_dir=str(tmp_path), bootstrap_n=2, seed=0)
+        assert run("sweep", "--config", cfg, "--method", "unadjusted") == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "replicate 0: intercept calibration did not converge",
+            "replicate 1: intercept calibration did not converge",
+            "error: all replicates failed",
+        ]
+
+
 class TestPareto:
     def _make_results(self, tmp_path):
         cfg = write_config(
@@ -279,7 +374,84 @@ class TestExitCodes:
         assert "lambdas must be distinct" in capsys.readouterr().err
         assert not (tmp_path / "sweep_fairpot_global_results.csv").exists()
 
+    def test_post_logit_direction_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, output_dir=str(tmp_path), bootstrap_n=1)
+        assert run("sweep", "--config", cfg, "--method", "post-logit",
+                   "--direction", "a_to_b") == 2
+        assert "direction must be 'b_to_a'" in capsys.readouterr().err
+        assert not (tmp_path / "sweep_post-logit_global_results.csv").exists()
+
     def test_bad_subcommand(self):
         with pytest.raises(SystemExit) as exc:
             run("explode")
         assert exc.value.code == 2
+
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+# (method, mode, direction) sweeps whose output bytes are pinned in GOLDEN_DIR.
+GOLDEN_RUNS = [
+    (method, mode, "b_to_a")
+    for method in ("fairpot", "post-logit", "wasserstein", "unadjusted")
+    for mode in ("global", "partial")
+] + [("fairpot", mode, "a_to_b") for mode in ("global", "partial")]
+GOLDEN_NAMES = [
+    f"{direction}_sweep_{method}_{mode}_{kind}.csv"
+    for method, mode, direction in GOLDEN_RUNS
+    for kind in ("results", "summary")
+]
+
+
+def write_golden_inputs(tmp_path):
+    """Small train/test score files with imbalanced groups, different base
+    rates and tied scores (every 7th score rounded to two digits)."""
+    rng = np.random.default_rng(20261018)
+    paths = {}
+    for name, n in (("train", 240), ("test", 160)):
+        groups = np.where(rng.random(n) < 0.45, "a", "b")
+        labels = (rng.random(n) < np.where(groups == "a", 0.35, 0.2)).astype(int)
+        logits = rng.normal(size=n) + 1.2 * labels + 0.4 * (groups == "a")
+        scores = 1.0 / (1.0 + np.exp(-logits))
+        scores[::7] = np.round(scores[::7], 2)
+        paths[name] = tmp_path / f"{name}.csv"
+        write_score_file(ScoreSet(scores=scores, labels=labels, groups=groups), paths[name])
+    return paths
+
+
+def run_golden_sweeps(tmp_path) -> dict[str, bytes]:
+    """Run every GOLDEN_RUNS sweep in file mode; output name -> bytes."""
+    paths = write_golden_inputs(tmp_path)
+    out = {}
+    for method, mode, direction in GOLDEN_RUNS:
+        out_dir = tmp_path / direction
+        cfg = write_config(
+            tmp_path,
+            output_dir=str(out_dir),
+            seed=3,
+            bootstrap_n=5,
+            alpha=0.3,
+            lambdas=[0.0, 0.5, 1.0],
+            train_path=str(paths["train"]),
+            test_path=str(paths["test"]),
+        )
+        argv = ["sweep", "--config", cfg, "--method", method, "--mode", mode]
+        if direction != "b_to_a":
+            argv += ["--direction", direction]
+        assert run(*argv) == 0
+        for kind in ("results", "summary"):
+            produced = out_dir / f"sweep_{method}_{mode}_{kind}.csv"
+            out[f"{direction}_{produced.name}"] = produced.read_bytes()
+    return out
+
+
+@pytest.fixture(scope="module")
+def golden_outputs(tmp_path_factory):
+    return run_golden_sweeps(tmp_path_factory.mktemp("golden"))
+
+
+def test_golden_files_cover_every_sweep():
+    assert sorted(p.name for p in GOLDEN_DIR.glob("*.csv")) == sorted(GOLDEN_NAMES)
+
+
+@pytest.mark.parametrize("name", GOLDEN_NAMES)
+def test_golden_sweep_bytes(name, golden_outputs):
+    assert golden_outputs[name] == (GOLDEN_DIR / name).read_bytes()

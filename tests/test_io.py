@@ -17,7 +17,9 @@ from fairpot.io import (
     read_sweep_results,
     write_score_file,
     write_sweep_results,
+    write_sweep_summary,
 )
+from fairpot.svg import render_tradeoff_svg
 import oracles
 
 
@@ -115,6 +117,41 @@ class TestSweepResultFile:
         assert "0.3333333333" in body and "0.6666666667" in body
 
 
+class TestAtomicWrites:
+    ROWS = [
+        SweepRow("fairpot", 0.0, 1.0, 0, 0.75, 0.25, True),
+        SweepRow("fairpot", 0.5, 1.0, 0, 0.7, 0.2, False),
+    ]
+    WRITERS = {
+        "score": lambda path: write_score_file(
+            oracles.random_score_set(np.random.default_rng(52), 5), path
+        ),
+        "results": lambda path: write_sweep_results(TestAtomicWrites.ROWS, path),
+        "summary": lambda path: write_sweep_summary(TestAtomicWrites.ROWS, path),
+        "svg": lambda path: render_tradeoff_svg(path, series=[("m", [(0.1, 0.7), (0.2, 0.8)])]),
+    }
+
+    @pytest.mark.parametrize("writer", sorted(WRITERS))
+    def test_exception_mid_write_keeps_earlier_file(self, tmp_path, monkeypatch, writer):
+        path = tmp_path / "out"
+        self.WRITERS[writer](path)
+        earlier = path.read_bytes()
+
+        def boom(*args):
+            raise RuntimeError("interrupted")
+
+        if writer == "svg":
+            # the SVG bytes are serialized inside the open temporary file
+            monkeypatch.setattr("fairpot.svg.ET.tostring", boom)
+        else:
+            # the header is written before the first formatted number
+            monkeypatch.setattr("fairpot.io._fmt", boom)
+        with pytest.raises(RuntimeError, match="interrupted"):
+            self.WRITERS[writer](path)
+        assert path.read_bytes() == earlier
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+
 class TestExperimentConfig:
     def test_empty_config_all_defaults(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -170,6 +207,7 @@ class TestExperimentConfig:
             {"mode": "windowed"},
             {"direction": "sideways"},
             {"method": "magic"},
+            {"method": "post-logit", "direction": "a_to_b"},
             {"bootstrap_n": -1},
             {"split_ratio": 1.0},
         ],

@@ -1,10 +1,16 @@
-"""Property tests: the vectorized OT core and score map against loop oracles."""
+"""Property tests: the vectorized OT core, score map and post-logit scale
+search against loop oracles."""
+
+import re
 
 import numpy as np
-from hypothesis import given
+import pytest
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.stats import wasserstein_distance
 
+from fairpot.baselines import DEFAULT_SCALE_GRID, fit_post_logit
+from fairpot.metrics import ScoreSet
 from fairpot.ot import (
     EmpiricalMeasure,
     barycentric_projection,
@@ -96,3 +102,60 @@ def test_score_map_matches_tie_merge(pairs):
 def test_w1_matches_scipy(p, q):
     expected = wasserstein_distance(p.support, q.support, p.weights, q.weights)
     assert abs(wasserstein1_distance(p, q) - expected) <= 1e-12
+
+
+def labeled_set(scores, labels, groups):
+    return ScoreSet(scores=np.array(scores, dtype=float), labels=labels, groups=list(groups))
+
+
+@st.composite
+def labeled_sets(draw, max_size=30):
+    n = draw(st.integers(1, max_size))
+    records = st.lists(
+        st.tuples(
+            st.one_of(st.sampled_from(POOL), st.floats(0.0, 1.0, allow_subnormal=False)),
+            st.integers(0, 1),
+            st.sampled_from("ab"),
+        ),
+        min_size=n,
+        max_size=n,
+    )
+    scores, labels, groups = zip(*draw(records))
+    return labeled_set(scores, labels, groups)
+
+
+scale_grids = st.one_of(
+    st.just(DEFAULT_SCALE_GRID),
+    st.lists(
+        st.one_of(st.sampled_from((0.1, 0.5, 1.0, 2.0, 10.0)), st.floats(0.01, 20.0)),
+        min_size=1,
+        max_size=8,
+    ),
+)
+
+
+@given(labeled_sets(), scale_grids, st.sampled_from((0.0, -1.0, 0.5)))
+# tied scores across groups and classes
+@example(labeled_set([0.5, 0.5, 0.5, 0.5, 0.25, 0.75], [1, 0, 1, 0, 1, 0], "aabbab"),
+         DEFAULT_SCALE_GRID, 0.0)
+# group b has no negatives: the a->b xAUC is 0.0 by convention
+@example(labeled_set([0.9, 0.2, 0.6, 0.4], [1, 0, 1, 1], "aabb"), DEFAULT_SCALE_GRID, 0.0)
+# single-record groups
+@example(labeled_set([0.7, 0.3], [1, 0], "ab"), DEFAULT_SCALE_GRID, -1.0)
+# sigmoid(0) = 0.5 ties group b's rescaled 0.0 scores with group a's 0.5,
+# among the b negatives, then among the b positives
+@example(labeled_set([0.9, 0.75, 0.0, 0.5, 0.0, 0.5, 0.0], [0, 1, 0, 1, 0, 1, 1], "aaaabbb"),
+         DEFAULT_SCALE_GRID, 0.0)
+@example(labeled_set([0.0, 0.1, 0.5, 0.9, 0.5, 0.25, 0.25], [1, 1, 0, 1, 0, 0, 1], "bbaabbb"),
+         DEFAULT_SCALE_GRID, 0.0)
+# unsorted grid with duplicate scales
+@example(labeled_set([0.8, 0.1, 0.45, 0.6, 0.3, 0.55], [1, 0, 1, 0, 0, 1], "aaabbb"),
+         (2.0, 0.5, 2.0, 1.0, 0.5), 0.0)
+def test_post_logit_fit_equals_loop(train, grid, offset):
+    try:
+        expected = oracles.loop_fit_post_logit(train, grid, offset)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            fit_post_logit(train, grid, offset)
+        return
+    assert fit_post_logit(train, grid, offset) == expected
