@@ -111,6 +111,13 @@ def _group_quantile_maps(train_scores: np.ndarray):
     return score_to_level, level_to_score
 
 
+def require_both_groups(score_set: ScoreSet, name: str) -> None:
+    """Raise ``ValueError`` unless ``score_set`` holds records of both groups."""
+    for g in (GROUP_A, GROUP_B):
+        if not np.any(score_set.group_mask(g)):
+            raise ValueError(f"{name} set contains no group {g!r} records")
+
+
 def wasserstein_fair(train: ScoreSet, test: ScoreSet) -> ScoreSet:
     """Map both groups' test scores to the shared barycenter quantile function.
 
@@ -118,10 +125,8 @@ def wasserstein_fair(train: ScoreSet, test: ScoreSet) -> ScoreSet:
     barycenter averages them with weights proportional to group training
     sizes. Test scores outside the training range clamp to boundary quantiles.
     """
-    for s, name in ((train, "train"), (test, "test")):
-        for g in (GROUP_A, GROUP_B):
-            if not np.any(s.group_mask(g)):
-                raise ValueError(f"{name} set contains no group {g!r} records")
+    require_both_groups(train, "train")
+    require_both_groups(test, "test")
 
     train_a = train.group_scores(GROUP_A)
     train_b = train.group_scores(GROUP_B)

@@ -81,9 +81,12 @@ def _synthetic_scored_split(config: ExperimentConfig, seed: int) -> tuple[ScoreS
     return scored(train_idx), scored(test_idx)
 
 
-def _resample(score_set: ScoreSet, rng: np.random.Generator) -> ScoreSet:
-    idx = rng.integers(0, len(score_set), size=len(score_set))
-    return score_set.subset(idx)
+def _bootstrap_draw(config: ExperimentConfig, n: int, rep: int) -> np.ndarray:
+    """Indices of replicate ``rep``'s test records in file mode: ``n`` draws
+    with replacement, or every record once when ``bootstrap_n`` is 0."""
+    if config.bootstrap_n > 0:
+        return stream(config.seed, STAGE_BOOTSTRAP, rep).integers(0, n, size=n)
+    return np.arange(n)
 
 
 def _top_region(config: ExperimentConfig, score_set: ScoreSet) -> ScoreSet:
@@ -92,6 +95,15 @@ def _top_region(config: ExperimentConfig, score_set: ScoreSet) -> ScoreSet:
     if config.mode == "global":
         return score_set
     return score_set.subset(metrics.top_alpha_region(score_set, config.alpha).member_indices)
+
+
+def _region_draw(config: ExperimentConfig, test: ScoreSet, draw: np.ndarray) -> np.ndarray:
+    """The part of ``draw`` a baseline is evaluated on: all of it in global
+    mode; in partial mode the top-alpha region of ``test.subset(draw)``,
+    ranked on the unadjusted scores."""
+    if config.mode == "global":
+        return draw
+    return draw[metrics.top_alpha_region(test.subset(draw), config.alpha).member_indices]
 
 
 def _fit_baseline(
@@ -156,14 +168,19 @@ def cmd_sweep(args) -> int:
     if file_mode:
         base_train = read_score_file(config.train_path)
         base_test = read_score_file(config.test_path)
+        for score_set, path in ((base_train, config.train_path), (base_test, config.test_path)):
+            if not len(score_set):
+                raise ScoreFileError(f"{path}: no records")
 
-    # A baseline's fit depends on the training set only. In file mode that set
-    # is the same for every replicate, so fit once; a fit error then fails
-    # each replicate, after its evaluation set is drawn.
-    transform = fit_error = None
+    # A baseline's fit depends on the training set only, and its map adjusts
+    # each record by its own score and group. In file mode the training set is
+    # the same for every replicate, so the whole test file is mapped once and
+    # each replicate evaluates its draw of the mapped records. An error from
+    # the fit or the map fails each replicate, after its draw.
+    mapped_test = fit_error = None
     if file_mode and config.method != "fairpot":
         try:
-            transform = _fit_baseline(config, base_train)
+            mapped_test = _fit_baseline(config, base_train)(base_test)
         except ValueError as exc:
             fit_error = exc
 
@@ -174,11 +191,7 @@ def cmd_sweep(args) -> int:
         try:
             if file_mode:
                 train = base_train
-                test = (
-                    _resample(base_test, stream(config.seed, STAGE_BOOTSTRAP, rep))
-                    if resample
-                    else base_test
-                )
+                draw = _bootstrap_draw(config, len(base_test), rep)
             else:
                 train, test = _synthetic_scored_split(
                     config, config.seed + rep if resample else config.seed
@@ -186,7 +199,7 @@ def cmd_sweep(args) -> int:
             if config.method == "fairpot":
                 points = transport.sweep(
                     train,
-                    test,
+                    base_test.subset(draw) if file_mode else test,
                     config.lambdas,
                     mode=config.mode,
                     alpha=config.alpha if config.mode == "partial" else None,
@@ -195,12 +208,17 @@ def cmd_sweep(args) -> int:
                     replicate_id=rep,
                 )
             else:
-                if not file_mode:
-                    transform = _fit_baseline(config, train)
-                eval_set = _top_region(config, test)
-                if fit_error is not None:
-                    raise fit_error
-                acc, disp = _evaluate(config, transform(eval_set))
+                if file_mode:
+                    region = _region_draw(config, base_test, draw)
+                    if fit_error is not None:
+                        raise fit_error
+                    eval_set = mapped_test.subset(region)
+                    if config.method == "wasserstein":
+                        # wasserstein_fair rejects a set it adjusts unless both groups are in it
+                        baselines.require_both_groups(eval_set, "test")
+                else:
+                    eval_set = _fit_baseline(config, train)(_top_region(config, test))
+                acc, disp = _evaluate(config, eval_set)
                 points = [TradeoffPoint(0.0, acc, disp, config.method, rep)]
         except (ValueError, RuntimeError) as exc:
             print(f"replicate {rep}: {exc}", file=sys.stderr)

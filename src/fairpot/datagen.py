@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from ._util import sigmoid
 from .metrics import GROUP_A, GROUP_B
@@ -45,6 +44,9 @@ def stream(seed: int, stage: int, substream: int = 0) -> np.random.Generator:
 
 
 def _standard_normal(rng: np.random.Generator, shape) -> np.ndarray:
+    # imported here, so that only runs drawing a cohort load scipy
+    from scipy.special import ndtri
+
     u = rng.random(shape)
     # rng.random lives in [0, 1); keep the inverse CDF finite at the left edge
     u = np.where(u == 0.0, 2.0**-54, u)
@@ -168,7 +170,7 @@ def fit_logistic_scorer(features, labels) -> LogisticScorer:
     for _ in range(_GD_ITERATIONS):
         resid = sigmoid(x @ w + b) - y
         grad_w = x.T @ resid / n + _GD_L2 * w
-        grad_b = float(resid.mean())
+        grad_b = float(np.add.reduce(resid)) / n
         w -= _GD_STEP * grad_w
         b -= _GD_STEP * grad_b
     return LogisticScorer(weights=w, intercept=b)

@@ -215,6 +215,13 @@ def top_alpha_region(s: ScoreSet, alpha: float) -> TopAlphaRegion:
     if n < 1:
         raise ValueError("cannot take a top region of an empty ScoreSet")
     n_alpha = max(1, ceil_count(alpha, n))
+    if n_alpha == n:
+        # The whole set needs no sort: the record ranked last by the stable
+        # sort below is the last one holding the lowest score.
+        last = n - 1 - int(np.argmin(s.scores[::-1]))
+        return TopAlphaRegion(
+            alpha=alpha, n_alpha=n, threshold=float(s.scores[last]), member_indices=np.arange(n)
+        )
     order = np.argsort(-s.scores, kind="stable")
     chosen = order[:n_alpha]
     threshold = float(s.scores[chosen[-1]])

@@ -17,7 +17,8 @@ from fairpot.baselines import (
     PostLogitParams,
     apply_post_logit,
 )
-from fairpot.metrics import GROUP_A, GROUP_B, ScoreSet, xauc_disparity
+from fairpot._util import ceil_count
+from fairpot.metrics import GROUP_A, GROUP_B, ScoreSet, TopAlphaRegion, xauc_disparity
 from fairpot.pareto import TradeoffPoint
 
 
@@ -198,6 +199,34 @@ def loop_fit_post_logit(
             best_disparity = disparity
             best_scale = scale
     return PostLogitParams(scale=best_scale, offset=offset, grid=grid)
+
+
+def masked_sigmoid(x):
+    """Logistic function evaluated separately on the non-negative and the
+    negative entries, so that ``exp`` only ever sees non-positive values."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    if out.ndim == 0:
+        return float(out)
+    return out
+
+
+def sorted_top_alpha_region(s: ScoreSet, alpha: float) -> TopAlphaRegion:
+    """Top region taken by a stable descending sort for every alpha,
+    including the whole set."""
+    n_alpha = max(1, ceil_count(alpha, len(s)))
+    order = np.argsort(-s.scores, kind="stable")
+    chosen = order[:n_alpha]
+    return TopAlphaRegion(
+        alpha=alpha,
+        n_alpha=n_alpha,
+        threshold=float(s.scores[chosen[-1]]),
+        member_indices=np.sort(chosen),
+    )
 
 
 def dominates(p: TradeoffPoint, q: TradeoffPoint) -> bool:

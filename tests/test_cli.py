@@ -1,6 +1,10 @@
 """End-to-end tests for the command-line harness."""
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -222,6 +226,30 @@ class TestBaselineFits:
             assert len(read_sweep_results(tmp_path / f"sweep_post-logit_{mode}_results.csv")) == 5
             assert calls == [240 if mode == "global" else 72]
 
+    def test_file_mode_maps_wasserstein_test_file_once_per_sweep(self, tmp_path, monkeypatch):
+        paths = write_golden_inputs(tmp_path)
+        calls = []
+        real_map = baselines.wasserstein_fair
+
+        def counting_map(train, test):
+            calls.append((len(train), len(test)))
+            return real_map(train, test)
+
+        monkeypatch.setattr(baselines, "wasserstein_fair", counting_map)
+        for mode in ("global", "partial"):
+            calls.clear()
+            cfg = write_config(
+                tmp_path,
+                output_dir=str(tmp_path),
+                bootstrap_n=5,
+                train_path=str(paths["train"]),
+                test_path=str(paths["test"]),
+            )
+            assert run("sweep", "--config", cfg, "--method", "wasserstein", "--mode", mode) == 0
+            assert len(read_sweep_results(tmp_path / f"sweep_wasserstein_{mode}_results.csv")) == 5
+            # fitted on the train file (or its top region), applied to the whole test file
+            assert calls == [(240 if mode == "global" else 72, 160)]
+
     @pytest.mark.parametrize(
         "method, message",
         [
@@ -289,6 +317,107 @@ class TestReplicateFailures:
             "replicate 1: intercept calibration did not converge",
             "error: all replicates failed",
         ]
+
+
+def write_rare_group_inputs(tmp_path, rare):
+    """A 60-record train file with both groups, and a 24-record test file in
+    which group ``rare`` has 2 records, scored 0.78 and 0.82: some resamples
+    draw neither, and some top regions hold none of them."""
+    rng = np.random.default_rng(41)
+    groups = np.where(rng.random(60) < 0.5, "a", "b")
+    train = ScoreSet(scores=rng.random(60), labels=rng.integers(0, 2, 60), groups=groups)
+    common = "b" if rare == "a" else "a"
+    test = ScoreSet(
+        scores=np.concatenate([rng.random(22), [0.78, 0.82]]),
+        labels=rng.integers(0, 2, 24),
+        groups=np.array([common] * 22 + [rare] * 2),
+    )
+    write_score_file(train, tmp_path / "train.csv")
+    write_score_file(test, tmp_path / "test.csv")
+    return write_config(
+        tmp_path,
+        output_dir=str(tmp_path / "out"),
+        seed=0,
+        bootstrap_n=12,
+        alpha=0.25,
+        train_path=str(tmp_path / "train.csv"),
+        test_path=str(tmp_path / "test.csv"),
+    )
+
+
+def sweep_outcome(capsys, out_dir, cfg, method, mode):
+    """Exit code, stderr lines and the sha256 of the results file (or None)."""
+    capsys.readouterr()
+    code = run("sweep", "--config", cfg, "--method", method, "--mode", mode)
+    results = out_dir / f"sweep_{method}_{mode}_results.csv"
+    digest = hashlib.sha256(results.read_bytes()).hexdigest() if results.exists() else None
+    return code, capsys.readouterr().err.splitlines(), digest
+
+
+class TestReplicateGroupFailures:
+    """Outcomes recorded from the release that still rebuilt each baseline's
+    map in every replicate: the same failed replicates, stderr lines and
+    result bytes."""
+
+    @pytest.mark.parametrize(
+        "rare, method, mode, failed, digest",
+        [
+            ("b", "wasserstein", "global", [3, 10],
+             "29d84680883eef2527b4b83eed12fb5afa9169106db5cb8f6abfecebe8738939"),
+            ("b", "wasserstein", "partial", [3, 6, 8, 10, 11],
+             "43764ca605c7ca2980fc2dc0a23dbcf89e1785019a3df3f88f2c87d5d0905bd1"),
+            ("b", "post-logit", "global", [],
+             "fcb25d7baed8dd30abfe411eef51ce1eef9cd35d3b689f0fc671ca09fe19ba42"),
+            ("b", "post-logit", "partial", [],
+             "6ca954a237e537c5886712f8431162931e635572bab7ed82cb7817d829b3667f"),
+            ("b", "unadjusted", "global", [],
+             "e3aab861f2fee65326ac7fd716c3da2a1c124eba3db085d3877a75c7fee3a7c4"),
+            ("b", "unadjusted", "partial", [],
+             "4e05e8cfd3e10f1e942650a8deebe8cc313e6b53a180407ba3f4063f61795172"),
+            ("a", "wasserstein", "global", [3, 10],
+             "5b0f5fe1626a1e614f8197963afe8ea14edf38a592d3e819e302e87974a30a31"),
+            ("a", "wasserstein", "partial", [3, 6, 8, 10, 11],
+             "1d467838fcef9daa80dac60947ff6f210a4474f82100e8c222480a00c4c37929"),
+            ("a", "post-logit", "global", [],
+             "bf69cafc23db43a2e94ceead6d8cbc50a4be1ef1f9835c4737c5afb41242e6a5"),
+            ("a", "post-logit", "partial", [],
+             "bd70528aa28f7b2ae823a9a42e6cb40e7cbae4ac77d3f1f4f545ca24de15c5ee"),
+        ],
+    )
+    def test_rare_group_replicates(self, tmp_path, capsys, rare, method, mode, failed, digest):
+        cfg = write_rare_group_inputs(tmp_path, rare)
+        code, err, got = sweep_outcome(capsys, tmp_path / "out", cfg, method, mode)
+        assert code == 0
+        assert err == [f"replicate {rep}: test set contains no group {rare!r} records"
+                       for rep in failed]
+        assert got == digest
+        rows = read_sweep_results(tmp_path / "out" / f"sweep_{method}_{mode}_results.csv")
+        assert [r.replicate for r in rows if r.failed] == failed
+
+    @pytest.mark.parametrize("mode", ["global", "partial"])
+    def test_single_group_test_file_fails_every_wasserstein_replicate(
+        self, tmp_path, capsys, mode
+    ):
+        rng = np.random.default_rng(0)
+        train = oracles.random_score_set(rng, 40)
+        write_score_file(train, tmp_path / "train.csv")
+        write_score_file(train.subset(np.flatnonzero(train.group_mask("a"))),
+                         tmp_path / "test.csv")
+        cfg = write_config(
+            tmp_path,
+            output_dir=str(tmp_path / "out"),
+            seed=0,
+            bootstrap_n=3,
+            alpha=0.25,
+            train_path=str(tmp_path / "train.csv"),
+            test_path=str(tmp_path / "test.csv"),
+        )
+        code, err, digest = sweep_outcome(capsys, tmp_path / "out", cfg, "wasserstein", mode)
+        assert code == 1
+        assert err == [
+            f"replicate {rep}: test set contains no group 'b' records" for rep in range(3)
+        ] + ["error: all replicates failed"]
+        assert digest is None
 
 
 class TestPareto:
@@ -381,6 +510,22 @@ class TestExitCodes:
         assert "direction must be 'b_to_a'" in capsys.readouterr().err
         assert not (tmp_path / "sweep_post-logit_global_results.csv").exists()
 
+    @pytest.mark.parametrize("empty", ["train", "test"])
+    @pytest.mark.parametrize("method", ["fairpot", "post-logit", "wasserstein", "unadjusted"])
+    def test_empty_score_file_rejected(self, tmp_path, capsys, method, empty):
+        paths = write_golden_inputs(tmp_path)
+        paths[empty].write_text("id,score,label,group\n")
+        cfg = write_config(
+            tmp_path,
+            output_dir=str(tmp_path / "out"),
+            bootstrap_n=2,
+            train_path=str(paths["train"]),
+            test_path=str(paths["test"]),
+        )
+        assert run("sweep", "--config", cfg, "--method", method) == 2
+        assert capsys.readouterr().err == f"error: {paths[empty]}: no records\n"
+        assert not (tmp_path / "out").exists()
+
     def test_bad_subcommand(self):
         with pytest.raises(SystemExit) as exc:
             run("explode")
@@ -455,3 +600,50 @@ def test_golden_files_cover_every_sweep():
 @pytest.mark.parametrize("name", GOLDEN_NAMES)
 def test_golden_sweep_bytes(name, golden_outputs):
     assert golden_outputs[name] == (GOLDEN_DIR / name).read_bytes()
+
+
+IMPORT_PATH_SCRIPT = """
+import sys
+from pathlib import Path
+
+import fairpot.cli
+from fairpot.cli import main
+
+loaded = ["import" if "scipy" in sys.modules else None]
+work = Path(sys.argv[1])
+results = []
+for method in ("fairpot", "post-logit", "wasserstein", "unadjusted"):
+    assert main(["sweep", "--config", sys.argv[2], "--method", method]) == 0
+    results.append(str(work / f"sweep_{method}_global_results.csv"))
+    loaded.append(f"sweep {method}" if "scipy" in sys.modules else None)
+assert main(["pareto", *results, "--output", str(work / "frontier.csv")]) == 0
+loaded.append("pareto" if "scipy" in sys.modules else None)
+assert main(["sweep", "--config", sys.argv[3], "--method", "unadjusted"]) == 0
+loaded.append("synthetic sweep" if "scipy" in sys.modules else None)
+print(loaded)
+"""
+
+
+def test_scipy_loaded_only_for_synthetic_cohorts(tmp_path):
+    """A fresh interpreter: importing the CLI, file-mode sweeps of every method
+    and a pareto merge leave scipy unloaded; drawing a synthetic cohort loads it."""
+    paths = write_golden_inputs(tmp_path)
+    file_cfg = write_config(
+        tmp_path,
+        output_dir=str(tmp_path),
+        bootstrap_n=2,
+        lambdas=[0.0, 1.0],
+        train_path=str(paths["train"]),
+        test_path=str(paths["test"]),
+    )
+    synth_cfg = tmp_path / "synth.json"
+    synth_cfg.write_text(json.dumps({"output_dir": str(tmp_path / "synth"), "bootstrap_n": 1}))
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_PATH_SCRIPT, str(tmp_path), file_cfg, str(synth_cfg)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == str([None] * 6 + ["synthetic sweep"])

@@ -1,5 +1,5 @@
-"""Property tests: the vectorized OT core, score map and post-logit scale
-search against loop oracles."""
+"""Property tests: the vectorized OT core, score map, post-logit scale
+search, sigmoid and whole-set top region against loop oracles."""
 
 import re
 
@@ -9,8 +9,9 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.stats import wasserstein_distance
 
+from fairpot._util import sigmoid
 from fairpot.baselines import DEFAULT_SCALE_GRID, fit_post_logit
-from fairpot.metrics import ScoreSet
+from fairpot.metrics import ScoreSet, top_alpha_region
 from fairpot.ot import (
     EmpiricalMeasure,
     barycentric_projection,
@@ -159,3 +160,42 @@ def test_post_logit_fit_equals_loop(train, grid, offset):
             fit_post_logit(train, grid, offset)
         return
     assert fit_post_logit(train, grid, offset) == expected
+
+
+def bits(x) -> np.ndarray:
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
+# Both signs of zero, infinities, and the edges where exp under- or overflows.
+EDGES = (0.0, -0.0, np.inf, -np.inf, 745.0, -745.0, 746.0, -746.0, 709.8, -709.8, 1e-300, -1e-300)
+logits = st.one_of(st.sampled_from(EDGES), st.floats(allow_nan=False))
+
+
+@given(st.lists(logits, max_size=60))
+@example(list(EDGES))
+def test_sigmoid_equals_masked_sigmoid(xs):
+    got, expected = sigmoid(np.array(xs)), oracles.masked_sigmoid(np.array(xs))
+    assert np.array_equal(bits(got), bits(expected))
+
+
+@given(logits)
+def test_sigmoid_scalar_equals_masked_sigmoid(x):
+    got, expected = sigmoid(x), oracles.masked_sigmoid(x)
+    assert type(got) is type(expected) is float
+    assert bits(got) == bits(expected)
+
+
+@given(labeled_sets(), st.sampled_from((1.0, 0.999, 0.95, 0.5, 0.3)))
+# ties at the lowest score: the threshold comes from the last of them
+@example(labeled_set([0.2, 0.5, 0.2, 0.9, 0.2], [1, 0, 0, 1, 1], "ababa"), 1.0)
+# a single record
+@example(labeled_set([0.4], [1], "b"), 1.0)
+# zeros of both signs tie; the sign of the one ranked last is kept
+@example(labeled_set([0.0, 0.3, -0.0], [0, 1, 1], "aab"), 1.0)
+@example(labeled_set([-0.0, 0.3, 0.0], [0, 1, 1], "aab"), 1.0)
+def test_top_alpha_region_equals_sorting_path(s, alpha):
+    got, expected = top_alpha_region(s, alpha), oracles.sorted_top_alpha_region(s, alpha)
+    assert (got.alpha, got.n_alpha) == (expected.alpha, expected.n_alpha)
+    assert bits(got.threshold) == bits(expected.threshold)
+    assert got.member_indices.dtype == expected.member_indices.dtype
+    assert np.array_equal(got.member_indices, expected.member_indices)
