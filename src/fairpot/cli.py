@@ -89,37 +89,41 @@ def _bootstrap_draw(config: ExperimentConfig, n: int, rep: int) -> np.ndarray:
     return np.arange(n)
 
 
-def _top_region(config: ExperimentConfig, score_set: ScoreSet) -> ScoreSet:
-    """The records a baseline is fitted on or evaluated on: all of them in
-    global mode, the top-alpha region in partial mode."""
-    if config.mode == "global":
-        return score_set
-    return score_set.subset(metrics.top_alpha_region(score_set, config.alpha).member_indices)
-
-
-def _region_draw(config: ExperimentConfig, test: ScoreSet, draw: np.ndarray) -> np.ndarray:
-    """The part of ``draw`` a baseline is evaluated on: all of it in global
-    mode; in partial mode the top-alpha region of ``test.subset(draw)``,
-    ranked on the unadjusted scores."""
+def _region(config: ExperimentConfig, score_set: ScoreSet, draw: np.ndarray) -> np.ndarray:
+    """Positions in ``score_set`` of the records a baseline is fitted on or
+    evaluated on: the records at ``draw`` in global mode; in partial mode the
+    top-alpha region of those records, ranked on their unadjusted scores."""
     if config.mode == "global":
         return draw
-    return draw[metrics.top_alpha_region(test.subset(draw), config.alpha).member_indices]
+    return draw[metrics.top_alpha_region(score_set.subset(draw), config.alpha).member_indices]
 
 
-def _fit_baseline(
-    config: ExperimentConfig, train: ScoreSet
-) -> Callable[[ScoreSet], ScoreSet]:
-    """Fit a non-fairpot method on ``train`` and return the map that adjusts an
-    evaluation set (see ``_top_region``)."""
+def _accept(eval_set: ScoreSet) -> None:
+    pass
+
+
+def _fit_and_map(
+    config: ExperimentConfig, train: ScoreSet, test: ScoreSet
+) -> tuple[ScoreSet, Callable[[ScoreSet], None]]:
+    """Fit a non-fairpot method on the ``_region`` of ``train`` and map every
+    record of ``test``. Each map adjusts a record by its own score and group,
+    so any subset of the mapped set is that subset mapped. Return the mapped
+    set and the check an evaluated subset of it must pass."""
     if config.method == "unadjusted":
-        return lambda eval_set: eval_set
-    fit_set = _top_region(config, train)
+        return test, _accept
+    fit_set = train.subset(_region(config, train, np.arange(len(train))))
     if config.method == "post-logit":
         params = baselines.fit_post_logit(fit_set)
-        return lambda eval_set: eval_set.replace_group_scores(
-            GROUP_B, baselines.apply_post_logit(params, eval_set.group_scores(GROUP_B))
+        mapped = test.replace_group_scores(
+            GROUP_B, baselines.apply_post_logit(params, test.group_scores(GROUP_B))
         )
-    return lambda eval_set: baselines.wasserstein_fair(fit_set, eval_set)
+        return mapped, _accept
+    # wasserstein_fair rejects a set it maps unless both groups are in it, and
+    # so an evaluated subset must hold both groups too.
+    return (
+        baselines.wasserstein_fair(fit_set, test),
+        lambda eval_set: baselines.require_both_groups(eval_set, "test"),
+    )
 
 
 def _evaluate(config: ExperimentConfig, eval_set: ScoreSet) -> tuple[float, float]:
@@ -172,15 +176,14 @@ def cmd_sweep(args) -> int:
             if not len(score_set):
                 raise ScoreFileError(f"{path}: no records")
 
-    # A baseline's fit depends on the training set only, and its map adjusts
-    # each record by its own score and group. In file mode the training set is
-    # the same for every replicate, so the whole test file is mapped once and
-    # each replicate evaluates its draw of the mapped records. An error from
-    # the fit or the map fails each replicate, after its draw.
-    mapped_test = fit_error = None
+    # A baseline's fit depends on the training set only. In file mode that set
+    # is the same for every replicate, so the whole test file is mapped once
+    # and each replicate evaluates its draw of the mapped records. An error
+    # from the fit or the map fails each replicate, after its draw.
+    mapped = fit_error = None
     if file_mode and config.method != "fairpot":
         try:
-            mapped_test = _fit_baseline(config, base_train)(base_test)
+            mapped = _fit_and_map(config, base_train, base_test)
         except ValueError as exc:
             fit_error = exc
 
@@ -190,16 +193,17 @@ def cmd_sweep(args) -> int:
     for rep in range(n_reps):
         try:
             if file_mode:
-                train = base_train
-                draw = _bootstrap_draw(config, len(base_test), rep)
+                train, test = base_train, base_test
+                draw = _bootstrap_draw(config, len(test), rep)
             else:
                 train, test = _synthetic_scored_split(
                     config, config.seed + rep if resample else config.seed
                 )
+                draw = np.arange(len(test))
             if config.method == "fairpot":
                 points = transport.sweep(
                     train,
-                    base_test.subset(draw) if file_mode else test,
+                    test.subset(draw),
                     config.lambdas,
                     mode=config.mode,
                     alpha=config.alpha if config.mode == "partial" else None,
@@ -208,16 +212,14 @@ def cmd_sweep(args) -> int:
                     replicate_id=rep,
                 )
             else:
-                if file_mode:
-                    region = _region_draw(config, base_test, draw)
-                    if fit_error is not None:
-                        raise fit_error
-                    eval_set = mapped_test.subset(region)
-                    if config.method == "wasserstein":
-                        # wasserstein_fair rejects a set it adjusts unless both groups are in it
-                        baselines.require_both_groups(eval_set, "test")
-                else:
-                    eval_set = _fit_baseline(config, train)(_top_region(config, test))
+                region = _region(config, test, draw)
+                if fit_error is not None:
+                    raise fit_error
+                if not file_mode:
+                    mapped = _fit_and_map(config, train, test)
+                mapped_test, check = mapped
+                eval_set = mapped_test.subset(region)
+                check(eval_set)
                 acc, disp = _evaluate(config, eval_set)
                 points = [TradeoffPoint(0.0, acc, disp, config.method, rep)]
         except (ValueError, RuntimeError) as exc:
