@@ -12,7 +12,11 @@ platform-stable stream:
 
 Gaussians are drawn by pushing uniform variates through the normal inverse
 CDF rather than a rejection sampler, keeping the stream layout independent of
-the platform's math library.
+the platform's math library. The inverse CDF is a numpy port of Cephes
+``ndtri``, bit-identical to ``scipy.special.ndtri``: the same rational
+approximations in the same Horner order, with only exact IEEE operations
+(``*``, ``+``, ``/``, ``sqrt``) done in numpy and the tail's ``log`` taken
+from libm through ``math.log``, as the compiled Cephes code does.
 """
 
 from __future__ import annotations
@@ -43,14 +47,77 @@ def stream(seed: int, stage: int, substream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seq))
 
 
-def _standard_normal(rng: np.random.Generator, shape) -> np.ndarray:
-    # imported here, so that only runs drawing a cohort load scipy
-    from scipy.special import ndtri
+# Cephes ndtri.c coefficients, highest power first; each Q has the implicit
+# leading 1 of Cephes p1evl written out (1.0 * x is exact, so the bits agree).
+# x / sqrt(2 pi) = w + w^3 P0(w^2) / Q0(w^2), w = y - 0.5, for exp(-2) < y <= 1 - exp(-2)
+_P0 = (-5.99633501014107895267E1, 9.80010754185999661536E1, -5.66762857469070293439E1,
+       1.39312609387279679503E1, -1.23916583867381258016E0)
+_Q0 = (1.0, 1.95448858338141759834E0, 4.67627912898881538453E0, 8.63602421390890590575E1,
+       -2.25462687854119370527E2, 2.00260212380060660359E2, -8.20372256168333339912E1,
+       1.59056225126211695515E1, -1.18331621121330003142E0)
+# tail correction for 2 <= sqrt(-2 log y) < 8, i.e. exp(-32) < y <= exp(-2)
+_P1 = (4.05544892305962419923E0, 3.15251094599893866154E1, 5.71628192246421288162E1,
+       4.40805073893200834700E1, 1.46849561928858024014E1, 2.18663306850790267539E0,
+       -1.40256079171354495875E-1, -3.50424626827848203418E-2, -8.57456785154685413611E-4)
+_Q1 = (1.0, 1.57799883256466749731E1, 4.53907635128879210584E1, 4.13172038254672030440E1,
+       1.50425385692907503408E1, 2.50464946208309415979E0, -1.42182922854787788574E-1,
+       -3.80806407691578277194E-2, -9.33259480895457427372E-4)
+# tail correction for sqrt(-2 log y) >= 8
+_P2 = (3.23774891776946035970E0, 6.91522889068984211695E0, 3.93881025292474443415E0,
+       1.33303460815807542389E0, 2.01485389549179081538E-1, 1.23716634817820021358E-2,
+       3.01581553508235416007E-4, 2.65806974686737550832E-6, 6.23974539184983293730E-9)
+_Q2 = (1.0, 6.02427039364742014255E0, 3.67983563856160859403E0, 1.37702099489081330271E0,
+       2.16236993594496635890E-1, 1.34204006088543189037E-2, 3.28014464682127739104E-4,
+       2.89247864745380683936E-6, 6.79019408009981274425E-9)
+_EXP_M2 = 0.13533528323661269189  # exp(-2)
+_S2PI = 2.50662827463100050242  # sqrt(2 pi)
 
+
+def _polevl(x: np.ndarray, coef) -> np.ndarray:
+    """Cephes polevl: Horner's rule, one rounded multiply and add per step."""
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _libm_log(a: np.ndarray) -> np.ndarray:
+    # np.log may use its own SIMD kernels, which differ from libm in the last bit
+    return np.fromiter(map(math.log, a.tolist()), dtype=float, count=a.size)
+
+
+def _ndtri(y0: np.ndarray) -> np.ndarray:
+    """Inverse of the standard normal CDF for ``0 < y0 < 1``, elementwise.
+
+    A port of Cephes ``ndtri`` giving the bits ``scipy.special.ndtri`` gives.
+    """
+    y0 = np.asarray(y0, dtype=float)
+    upper = y0 > 1.0 - _EXP_M2
+    y = np.where(upper, 1.0 - y0, y0)
+    out = np.empty_like(y)
+
+    central = y > _EXP_M2
+    yc = y[central] - 0.5
+    y2 = yc * yc
+    out[central] = (yc + yc * (y2 * _polevl(y2, _P0) / _polevl(y2, _Q0))) * _S2PI
+
+    tail = ~central
+    x = np.sqrt(-2.0 * _libm_log(y[tail]))
+    x0 = x - _libm_log(x) / x
+    z = 1.0 / x
+    x1 = z * _polevl(z, _P1) / _polevl(z, _Q1)
+    far = x >= 8.0  # y < exp(-32): all but never reached by uniform draws
+    x1[far] = z[far] * _polevl(z[far], _P2) / _polevl(z[far], _Q2)
+    x = x0 - x1
+    out[tail] = np.where(upper[tail], x, -x)
+    return out
+
+
+def _standard_normal(rng: np.random.Generator, shape) -> np.ndarray:
     u = rng.random(shape)
     # rng.random lives in [0, 1); keep the inverse CDF finite at the left edge
     u = np.where(u == 0.0, 2.0**-54, u)
-    return ndtri(u)
+    return _ndtri(u)
 
 
 @dataclass(frozen=True)

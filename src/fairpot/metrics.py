@@ -40,6 +40,11 @@ class ScoredRecord:
             raise ValueError(f"group must be one of {GROUPS}, got {self.group!r}")
 
 
+def _check_scores(scores: np.ndarray) -> None:
+    if scores.size and (not np.all(np.isfinite(scores)) or scores.min() < 0.0 or scores.max() > 1.0):
+        raise ValueError("scores must be finite and in [0, 1]")
+
+
 @dataclass(frozen=True, eq=False)
 class ScoreSet:
     """Ordered collection of scored records backed by parallel arrays."""
@@ -57,8 +62,7 @@ class ScoreSet:
             raise ValueError("scores, labels and groups must be 1-dimensional")
         if not (len(scores) == len(labels) == len(groups)):
             raise ValueError("scores, labels and groups must have equal length")
-        if scores.size and (not np.all(np.isfinite(scores)) or scores.min() < 0.0 or scores.max() > 1.0):
-            raise ValueError("scores must be finite and in [0, 1]")
+        _check_scores(scores)
         if not np.all((labels == 0) | (labels == 1)):
             raise ValueError("labels must be 0 or 1")
         if not np.all(np.isin(groups, GROUPS)):
@@ -112,36 +116,44 @@ class ScoreSet:
             mask &= self.group_mask(group)
         return self.scores[mask]
 
+    @classmethod
+    def _derived(cls, scores, labels, groups, sort_state: str = UNSORTED) -> "ScoreSet":
+        """Set over records taken from already-validated sets: the checks in
+        ``__post_init__`` are not rerun. The arrays are made read-only."""
+        out = object.__new__(cls)
+        for name, arr in (("scores", scores), ("labels", labels), ("groups", groups)):
+            arr.setflags(write=False)
+            object.__setattr__(out, name, arr)
+        object.__setattr__(out, "sort_state", sort_state)
+        return out
+
     def sorted_descending(self) -> "ScoreSet":
         """Copy with records reordered by score, highest first, stable on ties."""
         order = np.argsort(-self.scores, kind="stable")
-        return ScoreSet(
-            scores=self.scores[order].copy(),
-            labels=self.labels[order].copy(),
-            groups=self.groups[order].copy(),
-            sort_state=DESCENDING,
+        return ScoreSet._derived(
+            self.scores[order], self.labels[order], self.groups[order], DESCENDING
         )
 
     def subset(self, indices: np.ndarray) -> "ScoreSet":
         """New set containing the records at ``indices``, in the given order."""
         idx = np.asarray(indices, dtype=np.int64)
-        return ScoreSet(
-            scores=self.scores[idx].copy(),
-            labels=self.labels[idx].copy(),
-            groups=self.groups[idx].copy(),
-        )
+        if idx.ndim != 1:
+            raise ValueError("indices must be 1-dimensional")
+        return ScoreSet._derived(self.scores[idx], self.labels[idx], self.groups[idx])
 
     def replace_group_scores(self, group: str, new_scores: np.ndarray) -> "ScoreSet":
-        """Copy with one group's scores replaced, aligned to that group's record order."""
+        """Copy with one group's scores replaced, aligned to that group's record
+        order. Labels and groups are shared with this set."""
         mask = self.group_mask(group)
         new_scores = np.asarray(new_scores, dtype=float)
         if new_scores.shape != (int(mask.sum()),):
             raise ValueError(
                 f"expected {int(mask.sum())} scores for group {group!r}, got {new_scores.shape}"
             )
+        _check_scores(new_scores)
         scores = self.scores.copy()
         scores[mask] = new_scores
-        return ScoreSet(scores=scores, labels=self.labels.copy(), groups=self.groups.copy())
+        return ScoreSet._derived(scores, self.labels, self.groups)
 
 
 @dataclass(frozen=True)

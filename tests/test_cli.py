@@ -620,13 +620,16 @@ assert main(["pareto", *results, "--output", str(work / "frontier.csv")]) == 0
 loaded.append("pareto" if "scipy" in sys.modules else None)
 assert main(["sweep", "--config", sys.argv[3], "--method", "unadjusted"]) == 0
 loaded.append("synthetic sweep" if "scipy" in sys.modules else None)
+assert main(["synth", "--config", sys.argv[3]]) == 0
+loaded.append("synth" if "scipy" in sys.modules else None)
 print(loaded)
 """
 
 
-def test_scipy_loaded_only_for_synthetic_cohorts(tmp_path):
-    """A fresh interpreter: importing the CLI, file-mode sweeps of every method
-    and a pareto merge leave scipy unloaded; drawing a synthetic cohort loads it."""
+def test_scipy_never_loaded(tmp_path):
+    """A fresh interpreter: importing the CLI, file-mode sweeps of every method,
+    a pareto merge, a synthetic sweep and ``fairpot synth`` all run on numpy
+    alone; scipy is a test dependency only."""
     paths = write_golden_inputs(tmp_path)
     file_cfg = write_config(
         tmp_path,
@@ -646,4 +649,4 @@ def test_scipy_loaded_only_for_synthetic_cohorts(tmp_path):
         env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == str([None] * 6 + ["synthetic sweep"])
+    assert proc.stdout.splitlines()[-1] == str([None] * 8)

@@ -1,5 +1,7 @@
 """Tests for the synthetic cohort generator and the plumbing scorer."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -165,3 +167,55 @@ class TestCohortScoringBehavior:
             _, test = _synthetic_scored_split(cfg, seed)
             aucs.append(auc(test))
         assert all(a > 0.5 for a in aucs)
+
+
+def sha256(arr) -> str:
+    return hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()
+
+
+# Every default cohort holds 1500 group-a rows, then 1500 group-b rows.
+GROUPS_SHA = "29b7b4229c3521d9a9eeb67858e46237dba1fa912f346ef6e7178b08040b99fc"
+# seed: (features, labels) of generate_synthetic(SyntheticConfig(seed=seed))
+COHORT_SHA = {
+    0: ("1f354b895acbb6a4e1fc3ebb7fa3321e4892dc5526285983559a735850e94572",
+        "f6dd00fd528b522f7ca56e6f65a5fd5c323a373acf956229fbf322d9317eeba2"),
+    1: ("402f16b0bb0bc69dccae324c4ad2571eaa6591838be016cbf5472b60bacb9141",
+        "3a5590d7a69a844bef32a81b66677b43de3826ab12c3d0f250271015194bf1b5"),
+    7: ("91d6b6a89022f28eaea6f5cdfdcb33d2bb56a882f654d45093deae8106b19e96",
+        "37677cce056b04b49d648572dc8ef8a87dcccf7a7c8f4b6ba170402394c40bba"),
+    123: ("1112030d1eb7dfc6bce7c9730887e7b7a04c37eab35f19721f6003551e345915",
+          "89761d64e9ed82c1d02a683c810426ab352e3246d6c0af83edcab42e9991e60d"),
+}
+# seed: (train scores, test scores) of cli._synthetic_scored_split(ExperimentConfig(), seed)
+SPLIT_SHA = {
+    0: ("a5472bd89426148fdecdc36747f4119028c4aefba903d0f3c4f787214b3d33ae",
+        "b717b370130953437afe1ba70494019cca4923f155b115781d34d3d9bdb7553f"),
+    1: ("1aaee3a67639f5ac549146a2e5f21961a37aa35311e5e1da2a6050da1f68580d",
+        "e5830800d76f96596324e063a83fa1eab6215f2da7101fc71e0285052669a15a"),
+    7: ("6ee1e8e70fa45ec4e0e3fa90a1f4dfe6bc61dbf7458f7ddf1a062f12fbc27f6d",
+        "b7f0be9cb7e66ff5df0145385ad6fae6b82a70072a27e2a4eac63e86f3d0edcf"),
+    123: ("64e2f26149002254ce54cef952c3d5eca0c1cfa76b52e03e1ac248b42b62d5f5",
+          "a00f247035af7927f16203db7d67994f90d124b1e4545a4795d0e3add50be050"),
+}
+
+
+class TestCohortBytes:
+    """The cohort and its scored split are pinned byte for byte, so a change
+    to how Gaussians are drawn cannot silently move the paper's protocol."""
+
+    @pytest.mark.parametrize("seed", sorted(COHORT_SHA))
+    def test_cohort_bytes(self, seed):
+        cohort = generate_synthetic(SyntheticConfig(seed=seed))
+        assert (cohort.features.dtype, cohort.labels.dtype, cohort.groups.dtype) == (
+            np.float64, np.int64, np.dtype("U1"))
+        assert (sha256(cohort.features), sha256(cohort.labels)) == COHORT_SHA[seed]
+        assert sha256(cohort.groups) == GROUPS_SHA
+
+    @pytest.mark.parametrize("seed", sorted(SPLIT_SHA))
+    def test_scored_split_bytes(self, seed):
+        from fairpot.cli import _synthetic_scored_split
+        from fairpot.io import ExperimentConfig
+
+        train, test = _synthetic_scored_split(ExperimentConfig(), seed)
+        assert (len(train), len(test)) == (2400, 600)
+        assert (sha256(train.scores), sha256(test.scores)) == SPLIT_SHA[seed]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fairpot.metrics import (
+    DESCENDING,
     GROUP_A,
     GROUP_B,
     ScoredRecord,
@@ -64,6 +65,30 @@ class TestScoreSet:
         out = s.replace_group_scores(GROUP_A, np.array([0.3, 0.6]))
         assert list(out.scores) == [0.3, 0.9, 0.6]
         assert list(s.scores) == [0.2, 0.9, 0.5]
+
+    @pytest.mark.parametrize("bad", [1.5, -0.1, np.nan, np.inf])
+    def test_replace_group_scores_rejects_out_of_range(self, bad):
+        s = make_set([0.2, 0.9, 0.5], [1, 0, 1], ["a", "b", "a"])
+        with pytest.raises(ValueError, match=r"scores must be finite and in \[0, 1\]"):
+            s.replace_group_scores(GROUP_A, np.array([0.3, bad]))
+
+    def test_derived_sets_are_read_only(self):
+        s = make_set([0.2, 0.9, 0.5], [1, 0, 1], ["a", "b", "a"])
+        derived = (s.subset([2, 0, 2]), s.sorted_descending(),
+                   s.replace_group_scores(GROUP_B, np.array([0.1])))
+        for d in derived:
+            for arr in (d.scores, d.labels, d.groups):
+                assert not arr.flags.writeable
+        assert derived[0].scores is not s.scores
+        assert derived[1].sort_state == DESCENDING
+        # replacing scores keeps the records: labels and groups are shared
+        assert derived[2].labels is s.labels and derived[2].groups is s.groups
+        assert list(derived[2].scores) == [0.2, 0.1, 0.5]
+
+    def test_subset_rejects_2d_indices(self):
+        s = make_set([0.2, 0.9, 0.5], [1, 0, 1], ["a", "b", "a"])
+        with pytest.raises(ValueError):
+            s.subset(np.array([[0, 1]]))
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):

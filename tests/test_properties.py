@@ -1,5 +1,6 @@
 """Property tests: the vectorized OT core, score map, post-logit scale
-search, sigmoid and whole-set top region against loop oracles."""
+search, sigmoid and whole-set top region against loop oracles, and the
+inverse normal CDF against scipy."""
 
 import re
 
@@ -7,10 +8,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+from scipy.special import ndtri
 from scipy.stats import wasserstein_distance
 
 from fairpot._util import sigmoid
 from fairpot.baselines import DEFAULT_SCALE_GRID, fit_post_logit
+from fairpot.datagen import _ndtri
 from fairpot.metrics import ScoreSet, top_alpha_region
 from fairpot.ot import (
     EmpiricalMeasure,
@@ -199,3 +202,37 @@ def test_top_alpha_region_equals_sorting_path(s, alpha):
     assert bits(got.threshold) == bits(expected.threshold)
     assert got.member_indices.dtype == expected.member_indices.dtype
     assert np.array_equal(got.member_indices, expected.member_indices)
+
+
+EXP_M2 = np.exp(-2.0)
+# the central/tail switches at exp(-2) and 1 - exp(-2), the x = 8 switch at
+# exp(-32), the smallest draw 2^-54, and the ends of the double range in (0, 1)
+NDTRI_EDGES = [
+    v
+    for edge in (EXP_M2, 1.0 - EXP_M2, np.exp(-32.0), 0.5)
+    for v in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0))
+] + [2.0**-54, 1e-300, 5e-324, np.nextafter(1.0, 0.0)]
+probabilities = st.one_of(
+    st.sampled_from(NDTRI_EDGES),
+    st.floats(2.0**-54, 1.0, exclude_max=True),
+    # deep tail: sqrt(-2 log y) >= 8
+    st.floats(5e-324, 1.3e-14),
+)
+
+
+@given(st.lists(probabilities, min_size=1, max_size=60))
+@example(NDTRI_EDGES)
+def test_ndtri_equals_scipy(ys):
+    y = np.array(ys)
+    assert np.array_equal(bits(_ndtri(y)), bits(ndtri(y)))
+
+
+def test_ndtri_equals_scipy_on_a_million_draws():
+    rng = np.random.default_rng(20240611)
+    y = np.concatenate([
+        rng.random(1_000_000),
+        # the deep tail, log-uniform in [1e-320, 1.3e-14]
+        np.exp(rng.uniform(np.log(1e-320), np.log(1.3e-14), 100_000)),
+    ])
+    y[y == 0.0] = 2.0**-54
+    assert np.array_equal(_ndtri(y).view(np.int64), ndtri(y).view(np.int64))
