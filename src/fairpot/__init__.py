@@ -18,7 +18,6 @@ from .datagen import (
 from .metrics import (
     GROUP_A,
     GROUP_B,
-    ScoredRecord,
     ScoreSet,
     TopAlphaRegion,
     auc,
@@ -42,9 +41,7 @@ from .transport import (
     PartialTransportResult,
     ScoreMap,
     apply_phi,
-    apply_phi_alpha,
     apply_psi,
-    apply_psi_alpha,
     build_score_map,
     fit_transport,
     sweep,
@@ -61,17 +58,14 @@ __all__ = [
     "PostLogitParams",
     "ScoreMap",
     "ScoreSet",
-    "ScoredRecord",
     "SyntheticCohort",
     "SyntheticConfig",
     "TopAlphaRegion",
     "TradeoffPoint",
     "TransportPlan",
     "apply_phi",
-    "apply_phi_alpha",
     "apply_post_logit",
     "apply_psi",
-    "apply_psi_alpha",
     "auc",
     "barycentric_projection",
     "build_score_map",

@@ -28,7 +28,7 @@ def sigmoid(x):
     x = np.asarray(x, dtype=float)
     # exp(-|x|) never overflows; it is exp(-x) where x >= 0 and exp(x) below
     e = np.exp(-np.abs(x))
-    out = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    out = np.where(x >= 0, 1.0, e) / (1.0 + e)
     if out.ndim == 0:
         return float(out)
     return out

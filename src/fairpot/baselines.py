@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import sigmoid
-from .metrics import GROUP_A, GROUP_B, ScoreSet
+from .metrics import GROUP_A, GROUP_B, ScoreSet, require_both_groups
 
 # Fixed defaults so runs are reproducible: offset pinned at zero, scale
 # searched over 50 log-spaced values in [0.1, 10].
@@ -109,13 +109,6 @@ def _group_quantile_maps(train_scores: np.ndarray):
         return np.interp(t, grid_levels, s)
 
     return score_to_level, level_to_score
-
-
-def require_both_groups(score_set: ScoreSet, name: str) -> None:
-    """Raise ``ValueError`` unless ``score_set`` holds records of both groups."""
-    for g in (GROUP_A, GROUP_B):
-        if not np.any(score_set.group_mask(g)):
-            raise ValueError(f"{name} set contains no group {g!r} records")
 
 
 def wasserstein_fair(train: ScoreSet, test: ScoreSet) -> ScoreSet:

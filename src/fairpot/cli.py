@@ -37,7 +37,7 @@ from .io import (
     write_sweep_results,
     write_sweep_summary,
 )
-from .metrics import GROUP_B, ScoreSet
+from .metrics import GROUP_B, ScoreSet, require_both_groups
 from .pareto import TradeoffPoint, pareto_frontier
 from .svg import render_tradeoff_svg
 
@@ -90,47 +90,45 @@ def _bootstrap_draw(config: ExperimentConfig, n: int, rep: int) -> np.ndarray:
 
 
 def _region(config: ExperimentConfig, score_set: ScoreSet, draw: np.ndarray) -> np.ndarray:
-    """Positions in ``score_set`` of the records a baseline is fitted on or
-    evaluated on: the records at ``draw`` in global mode; in partial mode the
-    top-alpha region of those records, ranked on their unadjusted scores."""
+    """Positions in ``score_set`` of the records a baseline is fitted on or a
+    method is evaluated on: the records at ``draw`` in global mode; in partial
+    mode the top-alpha region of those records, ranked on their unadjusted
+    scores."""
     if config.mode == "global":
         return draw
     return draw[metrics.top_alpha_region(score_set.subset(draw), config.alpha).member_indices]
 
 
-def _accept(eval_set: ScoreSet) -> None:
-    pass
-
-
 def _fit_and_map(
     config: ExperimentConfig, train: ScoreSet, test: ScoreSet
-) -> tuple[ScoreSet, Callable[[ScoreSet], None]]:
-    """Fit a non-fairpot method on the ``_region`` of ``train`` and map every
-    record of ``test``. Each map adjusts a record by its own score and group,
-    so any subset of the mapped set is that subset mapped. Return the mapped
-    set and the check an evaluated subset of it must pass."""
+) -> tuple[list[tuple[float, ScoreSet]], Callable[[np.ndarray, np.ndarray], None] | None]:
+    """Fit ``config.method`` on ``train`` and map every record of ``test``.
+    Each map adjusts a record by its own score and group, so any subset of a
+    mapped set is that subset mapped. Return ``(lambda, mapped test set)`` for
+    each lambda (one lambda = 0 entry for a baseline), and the check, if any,
+    that a replicate's draw and evaluated region of ``test`` must pass."""
+    if config.method == "fairpot":
+        mapped = transport.fit_and_map(
+            train, test, config.lambdas, config.mode, config.alpha, config.direction
+        )
+        # fairpot needs both groups among the drawn records, not in the
+        # evaluated region: a region without the moving group is scored as is
+        return mapped, lambda draw, region: require_both_groups(test.subset(draw), "test")
     if config.method == "unadjusted":
-        return test, _accept
+        return [(0.0, test)], None
     fit_set = train.subset(_region(config, train, np.arange(len(train))))
     if config.method == "post-logit":
         params = baselines.fit_post_logit(fit_set)
         mapped = test.replace_group_scores(
             GROUP_B, baselines.apply_post_logit(params, test.group_scores(GROUP_B))
         )
-        return mapped, _accept
+        return [(0.0, mapped)], None
     # wasserstein_fair rejects a set it maps unless both groups are in it, and
-    # so an evaluated subset must hold both groups too.
+    # so an evaluated region must hold both groups too.
     return (
-        baselines.wasserstein_fair(fit_set, test),
-        lambda eval_set: baselines.require_both_groups(eval_set, "test"),
+        [(0.0, baselines.wasserstein_fair(fit_set, test))],
+        lambda draw, region: require_both_groups(test.subset(region), "test"),
     )
-
-
-def _evaluate(config: ExperimentConfig, eval_set: ScoreSet) -> tuple[float, float]:
-    if config.mode == "global":
-        return metrics.auc(eval_set), metrics.xauc_disparity(eval_set)
-    whole = metrics.top_alpha_region(eval_set, 1.0)
-    return metrics.pauc(eval_set, whole), metrics.pxauc_disparity(eval_set, whole)
 
 
 def _mean_points(rows: list[SweepRow]) -> list[TradeoffPoint]:
@@ -176,14 +174,14 @@ def cmd_sweep(args) -> int:
             if not len(score_set):
                 raise ScoreFileError(f"{path}: no records")
 
-    # A baseline's fit depends on the training set only. In file mode that set
+    # A method's fit depends on the training set only. In file mode that set
     # is the same for every replicate, so the whole test file is mapped once
     # and each replicate evaluates its draw of the mapped records. An error
     # from the fit or the map fails each replicate, after its draw.
-    mapped = fit_error = None
-    if file_mode and config.method != "fairpot":
+    fitted = fit_error = None
+    if file_mode:
         try:
-            mapped = _fit_and_map(config, base_train, base_test)
+            fitted = _fit_and_map(config, base_train, base_test)
         except ValueError as exc:
             fit_error = exc
 
@@ -200,28 +198,19 @@ def cmd_sweep(args) -> int:
                     config, config.seed + rep if resample else config.seed
                 )
                 draw = np.arange(len(test))
-            if config.method == "fairpot":
-                points = transport.sweep(
-                    train,
-                    test.subset(draw),
-                    config.lambdas,
-                    mode=config.mode,
-                    alpha=config.alpha if config.mode == "partial" else None,
-                    direction=config.direction,
-                    method_tag="fairpot",
-                    replicate_id=rep,
-                )
-            else:
-                region = _region(config, test, draw)
-                if fit_error is not None:
-                    raise fit_error
-                if not file_mode:
-                    mapped = _fit_and_map(config, train, test)
-                mapped_test, check = mapped
-                eval_set = mapped_test.subset(region)
-                check(eval_set)
-                acc, disp = _evaluate(config, eval_set)
-                points = [TradeoffPoint(0.0, acc, disp, config.method, rep)]
+            region = _region(config, test, draw)
+            if fit_error is not None:
+                raise fit_error
+            if not file_mode:
+                fitted = _fit_and_map(config, train, test)
+            mapped, check = fitted
+            if check is not None:
+                check(draw, region)
+            points = [
+                TradeoffPoint(lam, *metrics.evaluate(s.subset(region), config.mode),
+                              config.method, rep)
+                for lam, s in mapped
+            ]
         except (ValueError, RuntimeError) as exc:
             print(f"replicate {rep}: {exc}", file=sys.stderr)
             failures += 1

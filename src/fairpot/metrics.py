@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator
 
 import numpy as np
 
@@ -18,26 +17,6 @@ from ._util import ceil_count
 GROUP_A = "a"
 GROUP_B = "b"
 GROUPS = (GROUP_A, GROUP_B)
-
-UNSORTED = "unsorted"
-DESCENDING = "descending-by-score"
-
-
-@dataclass(frozen=True)
-class ScoredRecord:
-    """One instance: risk score in [0, 1], binary label, group tag."""
-
-    score: float
-    label: int
-    group: str
-
-    def __post_init__(self) -> None:
-        if not np.isfinite(self.score) or not 0.0 <= self.score <= 1.0:
-            raise ValueError(f"score must be finite and in [0, 1], got {self.score}")
-        if self.label not in (0, 1):
-            raise ValueError(f"label must be 0 or 1, got {self.label}")
-        if self.group not in GROUPS:
-            raise ValueError(f"group must be one of {GROUPS}, got {self.group!r}")
 
 
 def _check_scores(scores: np.ndarray) -> None:
@@ -52,7 +31,6 @@ class ScoreSet:
     scores: np.ndarray
     labels: np.ndarray
     groups: np.ndarray
-    sort_state: str = UNSORTED
 
     def __post_init__(self) -> None:
         scores = np.asarray(self.scores, dtype=float)
@@ -67,28 +45,12 @@ class ScoreSet:
             raise ValueError("labels must be 0 or 1")
         if not np.all(np.isin(groups, GROUPS)):
             raise ValueError(f"groups must be one of {GROUPS}")
-        if self.sort_state not in (UNSORTED, DESCENDING):
-            raise ValueError(f"unknown sort_state {self.sort_state!r}")
-        if self.sort_state == DESCENDING and scores.size > 1 and np.any(np.diff(scores) > 0):
-            raise ValueError("sort_state claims descending order but scores increase")
         for name, arr in (("scores", scores), ("labels", labels), ("groups", groups)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
-    @classmethod
-    def from_records(cls, records: list[ScoredRecord] | tuple[ScoredRecord, ...]) -> "ScoreSet":
-        return cls(
-            scores=np.array([r.score for r in records], dtype=float),
-            labels=np.array([r.label for r in records], dtype=np.int64),
-            groups=np.array([r.group for r in records], dtype="U1"),
-        )
-
     def __len__(self) -> int:
         return len(self.scores)
-
-    def __iter__(self) -> Iterator[ScoredRecord]:
-        for s, y, g in zip(self.scores, self.labels, self.groups):
-            yield ScoredRecord(float(s), int(y), str(g))
 
     @cached_property
     def n_pos(self) -> int:
@@ -117,22 +79,14 @@ class ScoreSet:
         return self.scores[mask]
 
     @classmethod
-    def _derived(cls, scores, labels, groups, sort_state: str = UNSORTED) -> "ScoreSet":
+    def _derived(cls, scores, labels, groups) -> "ScoreSet":
         """Set over records taken from already-validated sets: the checks in
         ``__post_init__`` are not rerun. The arrays are made read-only."""
         out = object.__new__(cls)
         for name, arr in (("scores", scores), ("labels", labels), ("groups", groups)):
             arr.setflags(write=False)
             object.__setattr__(out, name, arr)
-        object.__setattr__(out, "sort_state", sort_state)
         return out
-
-    def sorted_descending(self) -> "ScoreSet":
-        """Copy with records reordered by score, highest first, stable on ties."""
-        order = np.argsort(-self.scores, kind="stable")
-        return ScoreSet._derived(
-            self.scores[order], self.labels[order], self.groups[order], DESCENDING
-        )
 
     def subset(self, indices: np.ndarray) -> "ScoreSet":
         """New set containing the records at ``indices``, in the given order."""
@@ -154,6 +108,13 @@ class ScoreSet:
         scores = self.scores.copy()
         scores[mask] = new_scores
         return ScoreSet._derived(scores, self.labels, self.groups)
+
+
+def require_both_groups(score_set: ScoreSet, name: str) -> None:
+    """Raise ``ValueError`` unless ``score_set`` holds records of both groups."""
+    for g in GROUPS:
+        if not np.any(score_set.group_mask(g)):
+            raise ValueError(f"{name} set contains no group {g!r} records")
 
 
 @dataclass(frozen=True)
@@ -282,3 +243,13 @@ def pxauc_disparity(s: ScoreSet, region: TopAlphaRegion) -> float:
     return abs(
         pxauc(s, region, GROUP_A, GROUP_B) - pxauc(s, region, GROUP_B, GROUP_A)
     )
+
+
+def evaluate(s: ScoreSet, mode: str) -> tuple[float, float]:
+    """(accuracy, disparity) of an evaluated set: AUC and xAUC disparity in
+    global mode; in partial mode, where ``s`` holds the top region's records,
+    pAUC and pxAUC disparity over all of them."""
+    if mode == "global":
+        return auc(s), xauc_disparity(s)
+    whole = top_alpha_region(s, 1.0)
+    return pauc(s, whole), pxauc_disparity(s, whole)

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import metrics
 from ._util import ceil_count
-from .metrics import GROUP_A, GROUP_B, ScoreSet
+from .metrics import GROUP_A, GROUP_B, ScoreSet, require_both_groups
 from .ot import EmpiricalMeasure, TransportPlan, barycentric_projection, solve_ot_1d
 from .pareto import TradeoffPoint
 
@@ -167,34 +167,69 @@ def apply_psi(score_map: ScoreMap, scores_b_test) -> np.ndarray:
     return score_map.evaluate(scores_b_test)
 
 
-def apply_phi_alpha(
-    scores_b_alpha_train, scores_a_alpha_train, lam: float
-) -> PartialTransportResult:
-    """Top-region variant: fit the coupling on the group-restricted top scores
-    and transport the top-``lam`` portion of the group-b subset."""
-    b = np.asarray(scores_b_alpha_train, dtype=float)
-    a = np.asarray(scores_a_alpha_train, dtype=float)
-    if len(b) == 0 or len(a) == 0:
-        raise ValueError("top region must contain scores from both groups")
-    plan = fit_transport(a, b)
-    return apply_phi(b, plan, a, lam)
-
-
-def apply_psi_alpha(score_map: ScoreMap, scores_b_alpha_test) -> np.ndarray:
-    """Interpolation for top-region test scores; same contract as apply_psi."""
-    return apply_psi(score_map, scores_b_alpha_test)
-
-
-def _check_both_groups(s: ScoreSet, name: str) -> None:
-    for g in (GROUP_A, GROUP_B):
-        if not np.any(s.group_mask(g)):
-            raise ValueError(f"{name} set contains no group {g!r} records")
-
-
 def _moving_reference(direction: str) -> tuple[str, str]:
     if direction not in DIRECTIONS:
         raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
     return (GROUP_B, GROUP_A) if direction == "b_to_a" else (GROUP_A, GROUP_B)
+
+
+def fit_and_map(
+    train: ScoreSet,
+    test: ScoreSet,
+    lambdas,
+    mode: Mode = "global",
+    alpha: float | None = None,
+    direction: Direction = "b_to_a",
+) -> list[tuple[float, ScoreSet]]:
+    """Fit on ``train`` (its top-``alpha`` region in partial mode) and map the
+    moving group's scores of every ``test`` record, once per lambda.
+
+    Each test record's new score depends only on its own score and group, so
+    any subset of a mapped set equals that subset mapped. Returns
+    ``(lam, mapped test set)`` in the order of ``lambdas``; at ``lam == 0`` the
+    mapped set is ``test`` itself.
+    """
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    lambdas = [float(l) for l in lambdas]
+    for lam in lambdas:
+        if not 0.0 <= lam <= 1.0:
+            raise ValueError(f"lambda values must lie in [0, 1], got {lam}")
+    moving, reference = _moving_reference(direction)
+    require_both_groups(train, "train")
+    if mode == "partial":
+        if alpha is None:
+            raise ValueError("partial mode requires alpha")
+        train = train.subset(metrics.top_alpha_region(train, alpha).member_indices)
+    mov_train = train.group_scores(moving)
+    ref_train = train.group_scores(reference)
+    if len(mov_train) == 0 or len(ref_train) == 0:
+        raise ValueError("top region of the training set is missing a group")
+    mov_test = test.group_scores(moving)
+
+    # Everything but the top-k slice is lambda-independent: project once, rank
+    # the moving group once, and presort the score-map knots and test queries.
+    # Pairs are presorted stably by original score, so each build_score_map
+    # merges its tie groups in the same order as on the unsorted pairs.
+    plan = fit_transport(ref_train, mov_train)
+    projected = barycentric_projection(plan, ref_train)
+    desc_order = np.argsort(-mov_train, kind="stable")
+    knot_order = np.argsort(mov_train, kind="stable")
+    sorted_train = mov_train[knot_order]
+    test_order = np.argsort(mov_test, kind="stable")
+    sorted_test = mov_test[test_order]
+
+    mapped = []
+    for lam in lambdas:
+        if lam == 0.0:
+            mapped.append((lam, test))
+            continue
+        moved = _move_top(mov_train, desc_order, projected, ceil_count(lam, len(mov_train)))
+        score_map = build_score_map(sorted_train, moved[knot_order])
+        transformed = np.empty_like(mov_test)
+        transformed[test_order] = apply_psi(score_map, sorted_test)
+        mapped.append((lam, test.replace_group_scores(moving, transformed)))
+    return mapped
 
 
 def sweep(
@@ -214,68 +249,12 @@ def sweep(
     scores (train for fitting, test for evaluation) and held fixed; metrics are
     computed within the region members only.
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    lambdas = [float(l) for l in lambdas]
-    for lam in lambdas:
-        if not 0.0 <= lam <= 1.0:
-            raise ValueError(f"lambda values must lie in [0, 1], got {lam}")
-    _check_both_groups(train, "train")
-    _check_both_groups(test, "test")
-    moving, reference = _moving_reference(direction)
-
-    if mode == "global":
-        mov_train = train.group_scores(moving)
-        ref_train = train.group_scores(reference)
-        mov_test = test.group_scores(moving)
-        eval_set = test
-    else:
-        if alpha is None:
-            raise ValueError("partial mode requires alpha")
-        train_region = metrics.top_alpha_region(train, alpha)
-        test_region = metrics.top_alpha_region(test, alpha)
-        train_sub = train.subset(train_region.member_indices)
-        eval_set = test.subset(test_region.member_indices)
-        mov_train = train_sub.group_scores(moving)
-        ref_train = train_sub.group_scores(reference)
-        mov_test = eval_set.group_scores(moving)
-        if len(mov_train) == 0 or len(ref_train) == 0:
-            raise ValueError("top region of the training set is missing a group")
-
-    # Everything but the top-k slice is lambda-independent: project once, rank
-    # the moving group once, and presort the score-map knots and test queries.
-    # Pairs are presorted stably by original score, so each build_score_map
-    # merges its tie groups in the same order as on the unsorted pairs.
-    plan = fit_transport(ref_train, mov_train)
-    projected = barycentric_projection(plan, ref_train)
-    desc_order = np.argsort(-mov_train, kind="stable")
-    knot_order = np.argsort(mov_train, kind="stable")
-    sorted_train = mov_train[knot_order]
-    test_order = np.argsort(mov_test, kind="stable")
-    sorted_test = mov_test[test_order]
-
-    points = []
-    for lam in lambdas:
-        transformed = mov_test.copy()
-        if lam != 0.0:
-            moved = _move_top(mov_train, desc_order, projected, ceil_count(lam, len(mov_train)))
-            score_map = build_score_map(sorted_train, moved[knot_order])
-            transformed[test_order] = apply_psi(score_map, sorted_test)
-        merged = eval_set.replace_group_scores(moving, transformed)
-        if mode == "global":
-            accuracy = metrics.auc(merged)
-            disparity = metrics.xauc_disparity(merged)
-        else:
-            whole = metrics.top_alpha_region(merged, 1.0)
-            accuracy = metrics.pauc(merged, whole)
-            disparity = metrics.pxauc_disparity(merged, whole)
-        points.append(
-            TradeoffPoint(
-                lam=lam,
-                accuracy=accuracy,
-                disparity=disparity,
-                method_tag=method_tag,
-                replicate_id=replicate_id,
-            )
-        )
-    return points
+    mapped = fit_and_map(train, test, lambdas, mode, alpha, direction)
+    require_both_groups(test, "test")
+    if mode == "partial":
+        region = metrics.top_alpha_region(test, alpha).member_indices
+        mapped = [(lam, s.subset(region)) for lam, s in mapped]
+    return [
+        TradeoffPoint(lam, *metrics.evaluate(s, mode), method_tag, replicate_id)
+        for lam, s in mapped
+    ]

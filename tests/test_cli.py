@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fairpot import baselines, cli, datagen, metrics
+from fairpot import baselines, cli, datagen, metrics, transport
 from fairpot.cli import main
 from fairpot.io import read_score_file, read_sweep_results, write_score_file
 from fairpot.metrics import ScoreSet
@@ -250,11 +250,45 @@ class TestBaselineFits:
             # fitted on the train file (or its top region), applied to the whole test file
             assert calls == [(240 if mode == "global" else 72, 160)]
 
+    @pytest.mark.parametrize("mode", ["global", "partial"])
+    def test_fairpot_fits_transport_once_per_training_set(self, tmp_path, monkeypatch, mode):
+        # file mode: one training file, one fit for the whole sweep; synthetic
+        # mode: each replicate draws its own cohort, so one fit per replicate
+        paths = write_golden_inputs(tmp_path)
+        calls = []
+        real_fit = transport.fit_transport
+
+        def counting_fit(ref_train, mov_train):
+            calls.append((len(ref_train), len(mov_train)))
+            return real_fit(ref_train, mov_train)
+
+        monkeypatch.setattr(transport, "fit_transport", counting_fit)
+        file_cfg = write_config(
+            tmp_path,
+            output_dir=str(tmp_path / "file"),
+            bootstrap_n=5,
+            lambdas=[0.0, 0.5, 1.0],
+            train_path=str(paths["train"]),
+            test_path=str(paths["test"]),
+        )
+        assert run("sweep", "--config", file_cfg, "--method", "fairpot", "--mode", mode) == 0
+        assert len(read_sweep_results(tmp_path / "file" / f"sweep_fairpot_{mode}_results.csv")) == 15
+        assert len(calls) == 1
+        assert sum(calls[0]) == (240 if mode == "global" else 72)
+
+        calls.clear()
+        synth_cfg = write_config(
+            tmp_path, output_dir=str(tmp_path / "synth"), bootstrap_n=3, lambdas=[0.0, 1.0]
+        )
+        assert run("sweep", "--config", synth_cfg, "--method", "fairpot", "--mode", mode) == 0
+        assert len(calls) == 3
+
     @pytest.mark.parametrize(
         "method, message",
         [
             ("post-logit", "post-logit fitting needs both groups in the training set"),
             ("wasserstein", "train set contains no group 'b' records"),
+            ("fairpot", "top region of the training set is missing a group"),
         ],
     )
     def test_file_mode_fit_failure_fails_every_replicate(self, tmp_path, capsys, method, message):
@@ -345,17 +379,18 @@ def write_rare_group_inputs(tmp_path, rare):
     )
 
 
-def sweep_outcome(capsys, out_dir, cfg, method, mode):
+def sweep_outcome(capsys, out_dir, cfg, method, mode, direction="b_to_a"):
     """Exit code, stderr lines and the sha256 of the results file (or None)."""
     capsys.readouterr()
-    code = run("sweep", "--config", cfg, "--method", method, "--mode", mode)
+    code = run("sweep", "--config", cfg, "--method", method, "--mode", mode,
+               "--direction", direction)
     results = out_dir / f"sweep_{method}_{mode}_results.csv"
     digest = hashlib.sha256(results.read_bytes()).hexdigest() if results.exists() else None
     return code, capsys.readouterr().err.splitlines(), digest
 
 
 class TestReplicateGroupFailures:
-    """Outcomes recorded from the release that still rebuilt each baseline's
+    """Outcomes recorded from the releases that still rebuilt each method's
     map in every replicate: the same failed replicates, stderr lines and
     result bytes."""
 
@@ -393,6 +428,53 @@ class TestReplicateGroupFailures:
         assert got == digest
         rows = read_sweep_results(tmp_path / "out" / f"sweep_{method}_{mode}_results.csv")
         assert [r.replicate for r in rows if r.failed] == failed
+
+    @pytest.mark.parametrize(
+        "rare, mode, direction, digest",
+        [
+            ("b", "global", "b_to_a",
+             "77220a6e1de4b9e0e2874ee2a28dfb77fba4b6a419b5a833d8b56388579af539"),
+            ("b", "partial", "b_to_a",
+             "34623db8e12b277383fb560edfd795bb7e7cc4cf9673e409fa78a9822e2040ae"),
+            ("a", "global", "b_to_a",
+             "4965e26448a335a5da46a789b0c75c05fd918ff4be0d0484403e4c2254fbfaf2"),
+            ("a", "partial", "b_to_a",
+             "0e2eb1342f7cb353bf9a6ae7635ddcb25ea8a13ed9a3109533926366181b4770"),
+            ("a", "partial", "a_to_b",
+             "2e6b901f7f1966ed17e8d9ecf3f068968050b2a941ea4507dd887ff0ddea6181"),
+        ],
+    )
+    def test_rare_group_fairpot_replicates(self, tmp_path, capsys, rare, mode, direction, digest):
+        # fairpot checks the drawn records, not the evaluated top region, so in
+        # both modes only the draws without the rare group fail
+        cfg = write_rare_group_inputs(tmp_path, rare)
+        code, err, got = sweep_outcome(capsys, tmp_path / "out", cfg, "fairpot", mode, direction)
+        assert code == 0
+        assert err == [f"replicate {rep}: test set contains no group {rare!r} records"
+                       for rep in (3, 10)]
+        assert got == digest
+        rows = read_sweep_results(tmp_path / "out" / f"sweep_fairpot_{mode}_results.csv")
+        assert [r.replicate for r in rows if r.failed] == [3, 10]
+
+    def test_fairpot_train_region_error_comes_before_the_draw_check(self, tmp_path, capsys):
+        # The train top region holds no group b and replicates 3 and 10 draw no
+        # group b: every replicate reports the fit error, as the baselines do.
+        rng = np.random.default_rng(3)
+        train = oracles.random_score_set(rng, 60)
+        train = ScoreSet(
+            scores=np.where(train.group_mask("a"), 0.5 + train.scores / 2, train.scores / 2),
+            labels=train.labels,
+            groups=train.groups,
+        )
+        cfg = write_rare_group_inputs(tmp_path, "b")
+        write_score_file(train, tmp_path / "train.csv")
+        code, err, digest = sweep_outcome(capsys, tmp_path / "out", cfg, "fairpot", "partial")
+        assert code == 1
+        assert err == [
+            f"replicate {rep}: top region of the training set is missing a group"
+            for rep in range(12)
+        ] + ["error: all replicates failed"]
+        assert digest is None
 
     @pytest.mark.parametrize("mode", ["global", "partial"])
     def test_single_group_test_file_fails_every_wasserstein_replicate(

@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 
 from fairpot.metrics import (
-    DESCENDING,
     GROUP_A,
     GROUP_B,
-    ScoredRecord,
     ScoreSet,
     auc,
     pauc,
@@ -28,37 +26,12 @@ def make_set(scores, labels, groups):
     )
 
 
-class TestScoredRecord:
-    def test_valid(self):
-        r = ScoredRecord(0.75, 1, "a")
-        assert r.score == 0.75
-
-    @pytest.mark.parametrize(
-        "score,label,group",
-        [(1.5, 1, "a"), (-0.1, 0, "b"), (float("nan"), 1, "a"), (0.5, 2, "a"), (0.5, 1, "c")],
-    )
-    def test_invalid(self, score, label, group):
-        with pytest.raises(ValueError):
-            ScoredRecord(score, label, group)
-
-
 class TestScoreSet:
-    def test_from_records_round_trip(self):
-        records = [ScoredRecord(0.9, 1, "a"), ScoredRecord(0.1, 0, "b")]
-        s = ScoreSet.from_records(records)
-        assert list(s) == records
-
     def test_counts(self):
         s = make_set([0.9, 0.8, 0.7, 0.6], [1, 0, 1, 0], ["a", "a", "b", "b"])
         assert s.n_pos == 2 and s.n_neg == 2
         assert s.count(1, GROUP_A) == 1
         assert s.count(0, GROUP_B) == 1
-
-    def test_sorted_descending(self):
-        s = make_set([0.2, 0.9, 0.5], [1, 0, 1], ["a", "b", "a"])
-        d = s.sorted_descending()
-        assert list(d.scores) == [0.9, 0.5, 0.2]
-        assert list(d.labels) == [0, 1, 1]
 
     def test_replace_group_scores(self):
         s = make_set([0.2, 0.9, 0.5], [1, 0, 1], ["a", "b", "a"])
@@ -74,16 +47,14 @@ class TestScoreSet:
 
     def test_derived_sets_are_read_only(self):
         s = make_set([0.2, 0.9, 0.5], [1, 0, 1], ["a", "b", "a"])
-        derived = (s.subset([2, 0, 2]), s.sorted_descending(),
-                   s.replace_group_scores(GROUP_B, np.array([0.1])))
+        derived = (s.subset([2, 0, 2]), s.replace_group_scores(GROUP_B, np.array([0.1])))
         for d in derived:
             for arr in (d.scores, d.labels, d.groups):
                 assert not arr.flags.writeable
         assert derived[0].scores is not s.scores
-        assert derived[1].sort_state == DESCENDING
         # replacing scores keeps the records: labels and groups are shared
-        assert derived[2].labels is s.labels and derived[2].groups is s.groups
-        assert list(derived[2].scores) == [0.2, 0.1, 0.5]
+        assert derived[1].labels is s.labels and derived[1].groups is s.groups
+        assert list(derived[1].scores) == [0.2, 0.1, 0.5]
 
     def test_subset_rejects_2d_indices(self):
         s = make_set([0.2, 0.9, 0.5], [1, 0, 1], ["a", "b", "a"])
@@ -93,6 +64,14 @@ class TestScoreSet:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             make_set([1.2], [1], ["a"])
+
+    @pytest.mark.parametrize(
+        "score,label,group",
+        [(1.5, 1, "a"), (-0.1, 0, "b"), (float("nan"), 1, "a"), (0.5, 2, "a"), (0.5, 1, "c")],
+    )
+    def test_invalid(self, score, label, group):
+        with pytest.raises(ValueError):
+            make_set([score], [label], [group])
 
 
 class TestAuc:

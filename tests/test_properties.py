@@ -1,6 +1,7 @@
 """Property tests: the vectorized OT core, score map, post-logit scale
-search, sigmoid and whole-set top region against loop oracles, and the
-inverse normal CDF against scipy."""
+search, sigmoid and whole-set top region against loop oracles, the rank
+metrics against brute-force pair counts, the fairpot map on record subsets,
+and the inverse normal CDF against scipy."""
 
 import re
 
@@ -14,7 +15,16 @@ from scipy.stats import wasserstein_distance
 from fairpot._util import sigmoid
 from fairpot.baselines import DEFAULT_SCALE_GRID, fit_post_logit
 from fairpot.datagen import _ndtri
-from fairpot.metrics import ScoreSet, top_alpha_region
+from fairpot.metrics import (
+    ScoreSet,
+    auc,
+    pauc,
+    pxauc,
+    pxauc_disparity,
+    top_alpha_region,
+    xauc,
+    xauc_disparity,
+)
 from fairpot.ot import (
     EmpiricalMeasure,
     barycentric_projection,
@@ -22,7 +32,7 @@ from fairpot.ot import (
     solve_ot_1d,
     wasserstein1_distance,
 )
-from fairpot.transport import build_score_map
+from fairpot.transport import build_score_map, fit_and_map
 
 import oracles
 
@@ -32,7 +42,6 @@ values = st.one_of(
     st.sampled_from(POOL), st.floats(-5.0, 5.0, allow_nan=False, allow_subnormal=False)
 )
 supports = st.lists(values, min_size=1, max_size=40)
-
 
 
 def summation_tol(k, scale):
@@ -202,6 +211,86 @@ def test_top_alpha_region_equals_sorting_path(s, alpha):
     assert bits(got.threshold) == bits(expected.threshold)
     assert got.member_indices.dtype == expected.member_indices.dtype
     assert np.array_equal(got.member_indices, expected.member_indices)
+
+
+# Tied scores within and across classes and groups.
+TIED = labeled_set([0.5, 0.5, 0.5, 0.5, 0.25, 0.75, 0.25], [1, 0, 1, 0, 1, 0, 0], "aabbabb")
+# One class only.
+ALL_POSITIVE = labeled_set([0.9, 0.2, 0.6], [1, 1, 1], "abb")
+ALL_NEGATIVE = labeled_set([0.1, 0.7], [0, 0], "ba")
+# One group only.
+ONLY_B = labeled_set([0.3, 0.8, 0.3, 0.6], [1, 0, 0, 1], "bbbb")
+# A single record.
+SINGLE = labeled_set([0.4], [1], "a")
+
+
+@given(labeled_sets(), st.sampled_from((1.0, 0.999, 0.5, 0.3, 0.01)))
+@example(TIED, 1.0)
+@example(TIED, 0.5)
+@example(ALL_POSITIVE, 1.0)
+@example(ALL_NEGATIVE, 0.5)
+@example(ONLY_B, 1.0)
+@example(ONLY_B, 0.5)
+@example(SINGLE, 1.0)
+def test_rank_metrics_equal_brute_force(s, alpha):
+    assert bits(auc(s)) == bits(oracles.brute_auc(s))
+    for g, h in (("a", "b"), ("b", "a")):
+        assert bits(xauc(s, g, h)) == bits(oracles.brute_xauc(s, g, h))
+    assert bits(xauc_disparity(s)) == bits(oracles.brute_xauc_disparity(s))
+    region = top_alpha_region(s, alpha)
+    members = region.member_indices
+    assert bits(pauc(s, region)) == bits(oracles.brute_pauc(s, members))
+    for g, h in (("a", "b"), ("b", "a")):
+        assert bits(pxauc(s, region, g, h)) == bits(oracles.brute_pxauc(s, members, g, h))
+    assert bits(pxauc_disparity(s, region)) == bits(oracles.brute_pxauc_disparity(s, members))
+
+
+@st.composite
+def draws(draw, n):
+    """Indices into ``n`` records, with repeats, as a bootstrap draw has."""
+    return np.array(draw(st.lists(st.integers(0, n - 1), max_size=2 * n)), dtype=np.int64)
+
+
+@given(
+    labeled_sets(),
+    labeled_sets().flatmap(lambda test: st.tuples(st.just(test), draws(len(test)))),
+    st.sampled_from(("global", "partial")),
+    st.sampled_from((1.0, 0.5, 0.3)),
+    st.sampled_from(("b_to_a", "a_to_b")),
+)
+# train and test share tied scores; the draw repeats records and skips others
+@example(
+    labeled_set([0.5, 0.5, 0.25, 0.25, 0.75, 0.5], [1, 0, 1, 0, 1, 0], "aabbab"),
+    (labeled_set([0.5, 0.25, 0.25, 1.0, 0.0, 0.5], [1, 0, 1, 0, 1, 0], "babbab"),
+     np.array([2, 2, 0, 5, 5, 3])),
+    "global", 1.0, "b_to_a",
+)
+@example(
+    labeled_set([0.5, 0.5, 0.25, 0.25, 0.75, 0.5], [1, 0, 1, 0, 1, 0], "aabbab"),
+    (labeled_set([0.5, 0.25, 0.25, 1.0, 0.0, 0.5], [1, 0, 1, 0, 1, 0], "babbab"),
+     np.array([4, 1, 1, 2])),
+    "partial", 0.5, "a_to_b",
+)
+def test_fairpot_map_commutes_with_subsets(train, test_and_draw, mode, alpha, direction):
+    """Mapping the whole test set and then taking the records at ``idx``
+    equals mapping those records, bit for bit, for every lambda: each record's
+    new score depends only on its own score and group."""
+    test, idx = test_and_draw
+    lambdas = (0.0, 1e-15, 0.1, 0.5, 0.9, 1.0)
+    try:
+        whole = fit_and_map(train, test, lambdas, mode, alpha, direction)
+    except ValueError as exc:
+        # the fit reads the training set only, so it fails the same way
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            fit_and_map(train, test.subset(idx), lambdas, mode, alpha, direction)
+        return
+    part = fit_and_map(train, test.subset(idx), lambdas, mode, alpha, direction)
+    assert [lam for lam, _ in whole] == [lam for lam, _ in part] == list(lambdas)
+    for (_, mapped), (_, mapped_part) in zip(whole, part):
+        sub = mapped.subset(idx)
+        assert np.array_equal(bits(sub.scores), bits(mapped_part.scores))
+        assert np.array_equal(sub.labels, mapped_part.labels)
+        assert np.array_equal(sub.groups, mapped_part.groups)
 
 
 EXP_M2 = np.exp(-2.0)

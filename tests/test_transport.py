@@ -7,9 +7,7 @@ from fairpot import metrics
 from fairpot.ot import barycentric_projection
 from fairpot.transport import (
     apply_phi,
-    apply_phi_alpha,
     apply_psi,
-    apply_psi_alpha,
     build_score_map,
     fit_transport,
     sweep,
@@ -164,30 +162,6 @@ class TestApplyPsi:
         assert apply_psi(m, [0.4])[0] == pytest.approx(0.4)
 
 
-class TestApplyPhiAlpha:
-    def test_lambda_zero_unchanged(self):
-        rng = np.random.default_rng(1)
-        b_sub, a_sub = rng.random(5), rng.random(7)
-        result = apply_phi_alpha(b_sub, a_sub, 0.0)
-        assert np.array_equal(result.transported_scores, b_sub)
-
-    def test_equal_sizes_full_transport_sorted_pairing(self):
-        rng = np.random.default_rng(2)
-        b_sub, a_sub = rng.random(6), rng.random(6)
-        result = apply_phi_alpha(b_sub, a_sub, 1.0)
-        expected = np.empty(6)
-        expected[np.argsort(b_sub, kind="stable")] = np.sort(a_sub)
-        assert np.array_equal(result.transported_scores, expected)
-
-    def test_empty_subset_rejected(self):
-        with pytest.raises(ValueError):
-            apply_phi_alpha([], [0.5], 0.5)
-
-    def test_psi_alpha_same_contract(self):
-        m = build_score_map([0.2, 0.6], [0.3, 0.5])
-        assert np.array_equal(apply_psi_alpha(m, [0.2, 0.9]), [0.3, 0.5])
-
-
 class TestSweep:
     def test_lambda_zero_equals_unadjusted(self):
         train, test = random_split_sets(900)
@@ -249,9 +223,8 @@ class TestSweep:
         test_region = metrics.top_alpha_region(test, alpha)
         train_sub = train.subset(train_region.member_indices)
         test_sub = test.subset(test_region.member_indices)
-        phi = apply_phi_alpha(
-            train_sub.group_scores("b"), train_sub.group_scores("a"), 1.0
-        )
+        a, b = train_sub.group_scores("a"), train_sub.group_scores("b")
+        phi = apply_phi(b, fit_transport(a, b), a, 1.0)
         m = build_score_map(train_sub.group_scores("b"), phi.transported_scores)
         merged = test_sub.replace_group_scores("b", apply_psi(m, test_sub.group_scores("b")))
         whole = metrics.top_alpha_region(merged, 1.0)
