@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import sigmoid
-from .metrics import GROUP_A, GROUP_B, ScoreSet, require_both_groups
+from .metrics import GROUP_A, GROUP_B, ScoreSet, count_pairs_above, require_both_groups
 
 # Fixed defaults so runs are reproducible: offset pinned at zero, scale
 # searched over 50 log-spaced values in [0.1, 10].
@@ -44,38 +44,40 @@ def fit_post_logit(
     """Pick the grid scale minimizing the training disparity after rescaling
     group b only; ties go to the smallest scale.
 
-    Group a never changes, so its positives and negatives are split out and
-    sorted once; each scale transforms group b, sorts its negatives and counts
-    strict pairs. The integer counts and the one division per xAUC (0.0 for an
-    empty class) are those of ``xauc_disparity`` on the rescaled set.
+    Group a never changes, so its positives and negatives are sorted once;
+    group b's are sorted once before any rescaling, and each scale maps them,
+    sorts the mapped negatives and counts strict pairs with sorted queries. The
+    integer counts and the one division per xAUC (0.0 for an empty class) are
+    those of ``xauc_disparity`` on the rescaled set.
     """
     grid = tuple(float(g) for g in grid)
     if not grid:
         raise ValueError("post-logit scale grid is empty")
     if not np.any(train.group_mask(GROUP_A)) or not np.any(train.group_mask(GROUP_B)):
         raise ValueError("post-logit fitting needs both groups in the training set")
-    a_pos = np.sort(train.class_scores(1, GROUP_A))
-    a_neg = np.sort(train.class_scores(0, GROUP_A))
-    scores_b = train.group_scores(GROUP_B)
-    b_is_pos = train.labels[train.group_mask(GROUP_B)] == 1
-    n_b_pos = int(b_is_pos.sum())
-    n_b_neg = len(scores_b) - n_b_pos
-    a_to_b_pairs = len(a_pos) * n_b_neg
-    b_to_a_pairs = n_b_pos * len(a_neg)
+    a_pos, a_neg, b_pos, b_neg = (
+        np.sort(train.scores[train.cells[label, group]])
+        for label, group in ((1, GROUP_A), (0, GROUP_A), (1, GROUP_B), (0, GROUP_B))
+    )
+    a_to_b_pairs = len(a_pos) * len(b_neg)
+    b_to_a_pairs = len(b_pos) * len(a_neg)
     best_scale = None
     best_disparity = np.inf
     for scale in sorted(grid):
         candidate = PostLogitParams(scale=scale, offset=offset, grid=grid)
-        transformed = apply_post_logit(candidate, scores_b)
-        if not np.all(np.isfinite(transformed)):
+        new_pos = apply_post_logit(candidate, b_pos)
+        new_neg = apply_post_logit(candidate, b_neg)
+        if not (np.all(np.isfinite(new_pos)) and np.all(np.isfinite(new_neg))):
             raise ValueError("scores must be finite and in [0, 1]")
-        b_neg = np.sort(transformed[~b_is_pos])
+        # The map is increasing, so the mapped positives stay sorted queries
+        # (a rounding slip would only slow the search); the negatives are the
+        # searched side, so they are sorted again in case rounding broke it.
+        new_neg = np.sort(new_neg)
         xauc_a_to_b = xauc_b_to_a = 0.0
         if a_to_b_pairs:
-            xauc_a_to_b = int(np.searchsorted(b_neg, a_pos, side="left").sum()) / a_to_b_pairs
+            xauc_a_to_b = count_pairs_above(a_pos, new_neg) / a_to_b_pairs
         if b_to_a_pairs:
-            below = np.searchsorted(a_neg, transformed[b_is_pos], side="left")
-            xauc_b_to_a = int(below.sum()) / b_to_a_pairs
+            xauc_b_to_a = count_pairs_above(new_pos, a_neg) / b_to_a_pairs
         disparity = abs(xauc_a_to_b - xauc_b_to_a)
         if disparity < best_disparity:
             best_disparity = disparity

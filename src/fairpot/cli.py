@@ -104,9 +104,11 @@ def _fit_and_map(
 ) -> tuple[list[tuple[float, ScoreSet]], Callable[[np.ndarray, np.ndarray], None] | None]:
     """Fit ``config.method`` on ``train`` and map every record of ``test``.
     Each map adjusts a record by its own score and group, so any subset of a
-    mapped set is that subset mapped. Return ``(lambda, mapped test set)`` for
-    each lambda (one lambda = 0 entry for a baseline), and the check, if any,
-    that a replicate's draw and evaluated region of ``test`` must pass."""
+    mapped set is that subset mapped. Every mapped set holds ``test``'s
+    records in order and shares its labels and groups: only scores change.
+    Return ``(lambda, mapped test set)`` for each lambda (one lambda = 0 entry
+    for a baseline), and the check, if any, that a replicate's draw and
+    evaluated region of ``test`` must pass."""
     if config.method == "fairpot":
         mapped = transport.fit_and_map(
             train, test, config.lambdas, config.mode, config.alpha, config.direction
@@ -206,9 +208,12 @@ def cmd_sweep(args) -> int:
             mapped, check = fitted
             if check is not None:
                 check(draw, region)
+            # the region's labels, groups and cells are taken once, and each
+            # lambda's evaluated set holds only its own scores
+            evaluated = test.subset(region)
             points = [
-                TradeoffPoint(lam, *metrics.evaluate(s.subset(region), config.mode),
-                              config.method, rep)
+                TradeoffPoint(lam, *metrics.evaluate(evaluated.with_scores(s.scores[region]),
+                                                     config.mode), config.method, rep)
                 for lam, s in mapped
             ]
         except (ValueError, RuntimeError) as exc:

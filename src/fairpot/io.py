@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .metrics import GROUPS, ScoreSet
+from .metrics import GROUP_A, GROUP_B, GROUPS, ScoreSet
 
 SCORE_HEADER = ["id", "score", "label", "group"]
 SWEEP_HEADER = ["method", "lambda", "alpha", "replicate", "accuracy", "disparity", "on_frontier"]
@@ -70,7 +70,98 @@ def write_score_file(score_set: ScoreSet, path) -> None:
 
 
 def read_score_file(path) -> ScoreSet:
+    """Records of a score file, in file order.
+
+    A file in the plain form ``write_score_file`` writes is parsed in bulk.
+    Any other file, and any file with an invalid field or a duplicate id, is
+    read row by row, which raises the error for the first bad row.
+    """
     path = Path(path)
+    records = _parse_plain_score_file(path.read_bytes())
+    return records if records is not None else _read_score_rows(path)
+
+
+# What a plain score file is made of: printable ASCII other than the quote
+# character, and line feeds. Any other byte is left to the row reader.
+_PLAIN_BYTES = bytes(range(0x20, 0x7F)).replace(b'"', b"") + b"\n"
+_HEADER_LINE = ",".join(SCORE_HEADER).encode()
+_NL, _COMMA, _ZERO, _ONE, _A, _B = b"\n,01ab"  # byte values
+# Ids of at most this many bytes are checked for duplicates as sorted integers.
+_ID_KEY_BYTES = 8
+
+
+def _parse_plain_score_file(data: bytes) -> ScoreSet | None:
+    """Records of a plain score file, parsed in bulk, or None for any other
+    file. Plain means: the header line, then one or more lines that each
+    hold one row ``id,score,label,group``; LF or CRLF line ends; no quotes
+    and no blank rows; one-byte labels and groups; scores that ``float``
+    parses into [0, 1]; unique ids. On such a file the row reader gives the
+    same records, bit for bit."""
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n")
+    if data.translate(None, _PLAIN_BYTES):
+        return None  # this takes in a lone CR, which ends a csv row too
+    header, _, body = data.partition(b"\n")
+    body = body.removesuffix(b"\n")
+    if header != _HEADER_LINE or not body:
+        return None
+    arr = np.frombuffer(body, dtype=np.uint8)
+    ends = np.append(np.flatnonzero(arr == _NL), len(arr))
+    starts = np.append(0, ends[:-1] + 1)
+    if (ends - starts).max() > csv.field_size_limit():
+        return None
+    # Three commas per line, the last two just before a one-byte label and a
+    # one-byte group. Row i takes the commas ranked 3i to 3i + 2; once its
+    # third sits two bytes before line i's end, after which there is no
+    # comma, lines 0 to i hold exactly 3(i + 1) commas between them.
+    commas = np.flatnonzero(arr == _COMMA)
+    if len(commas) != 3 * len(ends):
+        return None
+    commas = commas.reshape(-1, 3)
+    label_at, group_at = commas[:, 1] + 1, commas[:, 2] + 1
+    if np.any(commas[:, 2] != label_at + 1) or np.any(ends != group_at + 1):
+        return None
+    label, group = arr[label_at], arr[group_at]
+    if not (np.all((label == _ZERO) | (label == _ONE)) and np.all((group == _A) | (group == _B))):
+        return None
+    if not _ids_unique(body, arr, starts, commas[:, 0]):
+        return None
+    try:
+        # On printable ASCII, float() parses bytes exactly as it parses the
+        # str the row reader passes it.
+        scores = np.array(list(map(float, body.split(b",")[1::3])))
+    except ValueError:
+        return None
+    if not (scores.min() >= 0.0 and scores.max() <= 1.0):
+        return None  # out of range, infinite, or nan, which min and max return
+    in_group_a = group == _A
+    return ScoreSet._derived(
+        scores,
+        (label == _ONE).astype(np.int64),
+        np.where(in_group_a, GROUP_A, GROUP_B),
+        in_group_a=in_group_a,
+    )
+
+
+def _ids_unique(body: bytes, arr: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> bool:
+    """Whether the id fields ``body[starts[i]:stops[i]]`` are distinct."""
+    width = stops - starts
+    n_bytes = int(width.max())
+    if n_bytes > _ID_KEY_BYTES:
+        return len({body[a:b] for a, b in zip(starts.tolist(), stops.tolist())}) == len(starts)
+    # Each id as a big-endian integer of its bytes, zero-padded on the right:
+    # no id holds a zero byte, so equal keys mean equal ids.
+    keys = np.zeros(len(starts), dtype=np.uint64)
+    for j in range(n_bytes):
+        byte = np.where(width > j, arr.take(starts + j, mode="clip"), 0)
+        keys = (keys << np.uint64(8)) | byte.astype(np.uint64)
+    keys.sort()
+    return not np.any(keys[1:] == keys[:-1])
+
+
+def _read_score_rows(path: Path) -> ScoreSet:
+    """Records of a score file read one ``csv`` row at a time; raises
+    ``ScoreFileError`` naming the line of the first bad row."""
     scores: list[float] = []
     labels: list[int] = []
     groups: list[str] = []

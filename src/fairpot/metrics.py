@@ -3,6 +3,14 @@
 All estimators count strictly-greater score pairs with integer arithmetic and
 divide once at the end, so an O(N log N) implementation returns bit-identical
 results to brute-force pair enumeration. Ties never earn credit.
+
+Each ScoreSet counts its pairs once, in one table (``ScoreSet.pair_counts``):
+the records are split into the four (label, group) cells, each cell is sorted
+once, and C[g, h], the number of group-g positives scored strictly above
+group-h negatives, is read off with sorted queries. AUC is sum(C) / (P * N)
+and xAUC(g -> h) is C[g, h] / (P_g * N_h), so ``auc`` and ``xauc_disparity``
+on one set share the table; ``pauc`` and ``pxauc`` read the table of the
+region's records, which is the set's own when the region holds all of it.
 """
 
 from __future__ import annotations
@@ -17,6 +25,11 @@ from ._util import ceil_count
 GROUP_A = "a"
 GROUP_B = "b"
 GROUPS = (GROUP_A, GROUP_B)
+
+
+def _check_group(group: str) -> None:
+    if group not in GROUPS:
+        raise ValueError(f"group must be one of {GROUPS}, got {group!r}")
 
 
 def _check_scores(scores: np.ndarray) -> None:
@@ -53,6 +66,41 @@ class ScoreSet:
         return len(self.scores)
 
     @cached_property
+    def in_group_a(self) -> np.ndarray:
+        """Read-only mask of the group-a records; every other record is in
+        group b. Computed once, and carried over to derived sets."""
+        mask = self.groups == GROUP_A
+        mask.setflags(write=False)
+        return mask
+
+    @cached_property
+    def cells(self) -> dict[tuple[int, str], np.ndarray]:
+        """Positions of the records of each (label, group) cell, in record
+        order. Shared by sets that hold the same records' labels and groups."""
+        is_pos = self.labels == 1
+        is_a = self.in_group_a
+        return {
+            (1, GROUP_A): np.flatnonzero(is_pos & is_a),
+            (1, GROUP_B): np.flatnonzero(is_pos & ~is_a),
+            (0, GROUP_A): np.flatnonzero(~is_pos & is_a),
+            (0, GROUP_B): np.flatnonzero(~is_pos & ~is_a),
+        }
+
+    @cached_property
+    def pair_counts(self) -> "PairCounts":
+        """Strict pair counts of this set, by group; see ``PairCounts``."""
+        ranked = {cell: np.sort(self.scores[idx]) for cell, idx in self.cells.items()}
+        return PairCounts(
+            above={
+                (g, h): count_pairs_above(ranked[1, g], ranked[0, h])
+                for g in GROUPS
+                for h in GROUPS
+            },
+            n_pos={g: len(ranked[1, g]) for g in GROUPS},
+            n_neg={g: len(ranked[0, g]) for g in GROUPS},
+        )
+
+    @cached_property
     def n_pos(self) -> int:
         return int(np.sum(self.labels == 1))
 
@@ -61,31 +109,30 @@ class ScoreSet:
         return int(np.sum(self.labels == 0))
 
     def count(self, label: int, group: str) -> int:
-        return int(np.sum((self.labels == label) & (self.groups == group)))
+        return len(self.cells.get((label, group), ()))
 
     def group_mask(self, group: str) -> np.ndarray:
-        if group not in GROUPS:
-            raise ValueError(f"group must be one of {GROUPS}, got {group!r}")
-        return self.groups == group
+        _check_group(group)
+        return self.in_group_a if group == GROUP_A else ~self.in_group_a
 
     def group_scores(self, group: str) -> np.ndarray:
         """Scores of one group, in record order."""
         return self.scores[self.group_mask(group)]
 
-    def class_scores(self, label: int, group: str | None = None) -> np.ndarray:
-        mask = self.labels == label
-        if group is not None:
-            mask &= self.group_mask(group)
-        return self.scores[mask]
-
     @classmethod
-    def _derived(cls, scores, labels, groups) -> "ScoreSet":
-        """Set over records taken from already-validated sets: the checks in
-        ``__post_init__`` are not rerun. The arrays are made read-only."""
+    def _derived(cls, scores, labels, groups, **cached) -> "ScoreSet":
+        """Set over already-validated records, such as records taken from
+        another set: the checks in ``__post_init__`` are not rerun. The arrays
+        are made read-only; ``cached`` presets cached properties
+        (``in_group_a``, ``cells``) that must hold for these labels and groups."""
         out = object.__new__(cls)
         for name, arr in (("scores", scores), ("labels", labels), ("groups", groups)):
             arr.setflags(write=False)
             object.__setattr__(out, name, arr)
+        for arr in cached.values():
+            if isinstance(arr, np.ndarray):
+                arr.setflags(write=False)
+        out.__dict__.update(cached)
         return out
 
     def subset(self, indices: np.ndarray) -> "ScoreSet":
@@ -93,7 +140,21 @@ class ScoreSet:
         idx = np.asarray(indices, dtype=np.int64)
         if idx.ndim != 1:
             raise ValueError("indices must be 1-dimensional")
-        return ScoreSet._derived(self.scores[idx], self.labels[idx], self.groups[idx])
+        return ScoreSet._derived(
+            self.scores[idx], self.labels[idx], self.groups[idx], in_group_a=self.in_group_a[idx]
+        )
+
+    def with_scores(self, scores: np.ndarray) -> "ScoreSet":
+        """The same records holding ``scores``, one per record in record order.
+        Labels, groups and their cached group mask and cells are shared with
+        this set, so only the pair counts are computed afresh."""
+        scores = np.asarray(scores, dtype=float)
+        if scores.shape != self.scores.shape:
+            raise ValueError(f"expected {len(self)} scores, got {scores.shape}")
+        _check_scores(scores)
+        return ScoreSet._derived(
+            scores, self.labels, self.groups, in_group_a=self.in_group_a, cells=self.cells
+        )
 
     def replace_group_scores(self, group: str, new_scores: np.ndarray) -> "ScoreSet":
         """Copy with one group's scores replaced, aligned to that group's record
@@ -107,7 +168,7 @@ class ScoreSet:
         _check_scores(new_scores)
         scores = self.scores.copy()
         scores[mask] = new_scores
-        return ScoreSet._derived(scores, self.labels, self.groups)
+        return ScoreSet._derived(scores, self.labels, self.groups, in_group_a=self.in_group_a)
 
 
 def require_both_groups(score_set: ScoreSet, name: str) -> None:
@@ -138,13 +199,46 @@ class TopAlphaRegion:
             raise ValueError("member_indices size must equal n_alpha")
 
 
-def _pairs_above(pos_scores: np.ndarray, neg_scores: np.ndarray) -> int:
-    """Count (positive, negative) pairs with strictly greater positive score."""
-    if len(pos_scores) == 0 or len(neg_scores) == 0:
-        return 0
-    neg_sorted = np.sort(neg_scores)
-    below = np.searchsorted(neg_sorted, pos_scores, side="left")
-    return int(below.sum())
+def count_pairs_above(pos_scores: np.ndarray, sorted_neg_scores: np.ndarray) -> int:
+    """Count (positive, negative) pairs with strictly greater positive score.
+
+    ``sorted_neg_scores`` must be sorted ascending. The positives may come in
+    any order; sorted ones make the search run faster.
+    """
+    return int(np.searchsorted(sorted_neg_scores, pos_scores, side="left").sum())
+
+
+@dataclass(frozen=True)
+class PairCounts:
+    """Strict pair counts of a ScoreSet by group.
+
+    ``above[g, h]`` is the number of (group-g positive, group-h negative) pairs
+    where the positive scores strictly higher; ``n_pos[g]`` and ``n_neg[g]``
+    are group g's class sizes.
+    """
+
+    above: dict[tuple[str, str], int]
+    n_pos: dict[str, int]
+    n_neg: dict[str, int]
+
+    def auc(self, if_no_pos: float = 0.0, if_no_neg: float = 0.0) -> float:
+        """Share of all (positive, negative) pairs ranked correctly; the given
+        value when a class is empty, the positives checked first."""
+        n_pos, n_neg = sum(self.n_pos.values()), sum(self.n_neg.values())
+        if n_pos == 0:
+            return if_no_pos
+        if n_neg == 0:
+            return if_no_neg
+        return sum(self.above.values()) / (n_pos * n_neg)
+
+    def xauc(self, from_group: str, to_group: str) -> float:
+        """Share of the (``from_group`` positive, ``to_group`` negative) pairs
+        ranked correctly; 0.0 when either side is empty."""
+        pairs = self.n_pos.get(from_group, 0) * self.n_neg.get(to_group, 0)
+        return self.above[from_group, to_group] / pairs if pairs else 0.0
+
+    def xauc_disparity(self) -> float:
+        return abs(self.xauc(GROUP_A, GROUP_B) - self.xauc(GROUP_B, GROUP_A))
 
 
 def auc(s: ScoreSet) -> float:
@@ -152,11 +246,7 @@ def auc(s: ScoreSet) -> float:
 
     Returns 0.0 when either class is empty: no valid comparisons exist.
     """
-    pos = s.class_scores(1)
-    neg = s.class_scores(0)
-    if len(pos) == 0 or len(neg) == 0:
-        return 0.0
-    return _pairs_above(pos, neg) / (len(pos) * len(neg))
+    return s.pair_counts.auc()
 
 
 def xauc(s: ScoreSet, from_group: str, to_group: str) -> float:
@@ -164,16 +254,14 @@ def xauc(s: ScoreSet, from_group: str, to_group: str) -> float:
     ``to_group`` negative. Empty index sets yield 0.0 by convention."""
     if from_group == to_group:
         raise ValueError("xauc requires two distinct groups")
-    pos = s.class_scores(1, from_group)
-    neg = s.class_scores(0, to_group)
-    if len(pos) == 0 or len(neg) == 0:
-        return 0.0
-    return _pairs_above(pos, neg) / (len(pos) * len(neg))
+    _check_group(from_group)
+    _check_group(to_group)
+    return s.pair_counts.xauc(from_group, to_group)
 
 
 def xauc_disparity(s: ScoreSet) -> float:
     """Absolute gap between the two cross-group ranking probabilities."""
-    return abs(xauc(s, GROUP_A, GROUP_B) - xauc(s, GROUP_B, GROUP_A))
+    return s.pair_counts.xauc_disparity()
 
 
 def top_alpha_region(s: ScoreSet, alpha: float) -> TopAlphaRegion:
@@ -189,21 +277,34 @@ def top_alpha_region(s: ScoreSet, alpha: float) -> TopAlphaRegion:
         raise ValueError("cannot take a top region of an empty ScoreSet")
     n_alpha = max(1, ceil_count(alpha, n))
     if n_alpha == n:
-        # The whole set needs no sort: the record ranked last by the stable
-        # sort below is the last one holding the lowest score.
+        # The record a stable descending sort ranks last is the last one
+        # holding the lowest score.
         last = n - 1 - int(np.argmin(s.scores[::-1]))
         return TopAlphaRegion(
             alpha=alpha, n_alpha=n, threshold=float(s.scores[last]), member_indices=np.arange(n)
         )
-    order = np.argsort(-s.scores, kind="stable")
-    chosen = order[:n_alpha]
-    threshold = float(s.scores[chosen[-1]])
+    # A stable descending sort takes every score above the n_alpha-th largest,
+    # then that score's first ties in index order; the last tie taken sets the
+    # threshold, signed zeros included. Found here in O(N), without the sort.
+    threshold = np.partition(s.scores, n - n_alpha)[n - n_alpha]
+    chosen = s.scores > threshold
+    ties = np.flatnonzero(s.scores == threshold)[: n_alpha - np.count_nonzero(chosen)]
+    chosen[ties] = True
     return TopAlphaRegion(
         alpha=alpha,
         n_alpha=n_alpha,
-        threshold=threshold,
-        member_indices=np.sort(chosen),
+        threshold=float(s.scores[ties[-1]]),
+        member_indices=np.flatnonzero(chosen),
     )
+
+
+def _region_counts(s: ScoreSet, region: TopAlphaRegion) -> PairCounts:
+    """Pair counts of the region's records: the set's own table when the
+    region holds every record of ``s`` in order."""
+    idx = region.member_indices
+    if len(idx) == len(s) and np.array_equal(idx, np.arange(len(s))):
+        return s.pair_counts
+    return s.subset(idx).pair_counts
 
 
 def pauc(s: ScoreSet, region: TopAlphaRegion) -> float:
@@ -213,36 +314,19 @@ def pauc(s: ScoreSet, region: TopAlphaRegion) -> float:
     (failed separation, checked first), no negatives gives 1.0 (perfect
     separation).
     """
-    labels = s.labels[region.member_indices]
-    scores = s.scores[region.member_indices]
-    pos = scores[labels == 1]
-    neg = scores[labels == 0]
-    if len(pos) == 0:
-        return 0.0
-    if len(neg) == 0:
-        return 1.0
-    return _pairs_above(pos, neg) / (len(pos) * len(neg))
+    return _region_counts(s, region).auc(if_no_pos=0.0, if_no_neg=1.0)
 
 
 def pxauc(s: ScoreSet, region: TopAlphaRegion, from_group: str, to_group: str) -> float:
     """Cross-group ranking probability restricted to the region; 0.0 on empty sets."""
     if from_group == to_group:
         raise ValueError("pxauc requires two distinct groups")
-    labels = s.labels[region.member_indices]
-    scores = s.scores[region.member_indices]
-    groups = s.groups[region.member_indices]
-    pos = scores[(labels == 1) & (groups == from_group)]
-    neg = scores[(labels == 0) & (groups == to_group)]
-    if len(pos) == 0 or len(neg) == 0:
-        return 0.0
-    return _pairs_above(pos, neg) / (len(pos) * len(neg))
+    return _region_counts(s, region).xauc(from_group, to_group)
 
 
 def pxauc_disparity(s: ScoreSet, region: TopAlphaRegion) -> float:
     """Absolute cross-group gap among the region's records."""
-    return abs(
-        pxauc(s, region, GROUP_A, GROUP_B) - pxauc(s, region, GROUP_B, GROUP_A)
-    )
+    return _region_counts(s, region).xauc_disparity()
 
 
 def evaluate(s: ScoreSet, mode: str) -> tuple[float, float]:

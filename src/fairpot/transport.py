@@ -253,7 +253,8 @@ def sweep(
     require_both_groups(test, "test")
     if mode == "partial":
         region = metrics.top_alpha_region(test, alpha).member_indices
-        mapped = [(lam, s.subset(region)) for lam, s in mapped]
+        evaluated = test.subset(region)
+        mapped = [(lam, evaluated.with_scores(s.scores[region])) for lam, s in mapped]
     return [
         TradeoffPoint(lam, *metrics.evaluate(s, mode), method_tag, replicate_id)
         for lam, s in mapped

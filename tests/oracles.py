@@ -8,6 +8,10 @@ versions of vectorized library paths, which the fast paths must match.
 
 from __future__ import annotations
 
+import csv
+import math
+from pathlib import Path
+
 import numpy as np
 from scipy.optimize import linprog
 
@@ -18,7 +22,8 @@ from fairpot.baselines import (
     apply_post_logit,
 )
 from fairpot._util import ceil_count
-from fairpot.metrics import GROUP_A, GROUP_B, ScoreSet, TopAlphaRegion, xauc_disparity
+from fairpot.io import SCORE_HEADER, ScoreFileError
+from fairpot.metrics import GROUPS, GROUP_A, GROUP_B, ScoreSet, TopAlphaRegion, xauc_disparity
 from fairpot.pareto import TradeoffPoint
 
 
@@ -226,6 +231,48 @@ def sorted_top_alpha_region(s: ScoreSet, alpha: float) -> TopAlphaRegion:
         n_alpha=n_alpha,
         threshold=float(s.scores[chosen[-1]]),
         member_indices=np.sort(chosen),
+    )
+
+
+def loop_read_score_file(path) -> ScoreSet:
+    """Score-file reader that parses one ``csv`` row at a time and checks each
+    field in turn, raising at the first bad one."""
+    path = Path(path)
+    scores: list[float] = []
+    labels: list[int] = []
+    groups: list[str] = []
+    seen_ids: set[str] = set()
+    with path.open("r", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != SCORE_HEADER:
+            raise ScoreFileError(f"{path}:1: expected header {','.join(SCORE_HEADER)}")
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != 4:
+                raise ScoreFileError(f"{path}:{lineno}: expected 4 fields, got {len(row)}")
+            rid, score_s, label_s, group = row
+            if rid in seen_ids:
+                raise ScoreFileError(f"{path}:{lineno}: duplicate id {rid!r}")
+            seen_ids.add(rid)
+            try:
+                score = float(score_s)
+            except ValueError:
+                raise ScoreFileError(f"{path}:{lineno}: unparseable score {score_s!r}") from None
+            if not math.isfinite(score) or not 0.0 <= score <= 1.0:
+                raise ScoreFileError(f"{path}:{lineno}: score {score_s} outside [0, 1]")
+            if label_s not in ("0", "1"):
+                raise ScoreFileError(f"{path}:{lineno}: label must be 0 or 1, got {label_s!r}")
+            if group not in GROUPS:
+                raise ScoreFileError(f"{path}:{lineno}: group must be one of {GROUPS}, got {group!r}")
+            scores.append(score)
+            labels.append(int(label_s))
+            groups.append(group)
+    return ScoreSet(
+        scores=np.array(scores, dtype=float),
+        labels=np.array(labels, dtype=np.int64),
+        groups=np.array(groups, dtype="U1"),
     )
 
 

@@ -12,7 +12,7 @@ import pytest
 
 from fairpot import baselines, cli, datagen, metrics, transport
 from fairpot.cli import main
-from fairpot.io import read_score_file, read_sweep_results, write_score_file
+from fairpot.io import ExperimentConfig, read_score_file, read_sweep_results, write_score_file
 from fairpot.metrics import ScoreSet
 
 import oracles
@@ -249,6 +249,21 @@ class TestBaselineFits:
             assert len(read_sweep_results(tmp_path / f"sweep_wasserstein_{mode}_results.csv")) == 5
             # fitted on the train file (or its top region), applied to the whole test file
             assert calls == [(240 if mode == "global" else 72, 160)]
+
+    @pytest.mark.parametrize("method", ["fairpot", "post-logit", "wasserstein", "unadjusted"])
+    @pytest.mark.parametrize("mode", ["global", "partial"])
+    def test_mapped_sets_keep_the_test_labels_and_groups(self, method, mode):
+        # the sweep evaluates each mapped set's scores with the test set's
+        # labels and groups, indexed once per replicate
+        rng = np.random.default_rng(4)
+        train, test = oracles.random_score_set(rng, 80), oracles.random_score_set(rng, 50)
+        config = ExperimentConfig(method=method, mode=mode, lambdas=(0.0, 0.4, 1.0))
+        mapped, _ = cli._fit_and_map(config, train, test)
+        assert len(mapped) == (3 if method == "fairpot" else 1)
+        for _, s in mapped:
+            assert np.array_equal(s.labels, test.labels)
+            assert np.array_equal(s.groups, test.groups)
+            assert np.array_equal(s.in_group_a, test.in_group_a)
 
     @pytest.mark.parametrize("mode", ["global", "partial"])
     def test_fairpot_fits_transport_once_per_training_set(self, tmp_path, monkeypatch, mode):

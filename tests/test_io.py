@@ -1,10 +1,13 @@
 """Tests for the score, sweep-result, and config file formats."""
 
+import csv
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fairpot.io import (
     ConfigError,
@@ -85,6 +88,180 @@ class TestScoreFile:
         path.write_text(f"id,score,label,group\n{row}\n")
         with pytest.raises(ScoreFileError):
             read_score_file(path)
+
+
+HEADER = "id,score,label,group"
+
+# Every malformed score file above and a few more, with the full error text
+# after "<path>:". The line number counts csv rows, blank ones included.
+ERROR_CASES = {
+    "bad header": ("score,label\n", "1: expected header id,score,label,group"),
+    "no header": ("", "1: expected header id,score,label,group"),
+    "header with BOM": ("\ufeff" + HEADER + "\nx1,0.5,1,a\n",
+                        "1: expected header id,score,label,group"),
+    "short row": (HEADER + "\nx1,0.5,1,a\nx2,0.5\n", "3: expected 4 fields, got 2"),
+    "long row": (HEADER + "\nx1,0.5,1,a,\n", "2: expected 4 fields, got 5"),
+    "out of range": (HEADER + "\nx1,1.5,1,a\n", "2: score 1.5 outside [0, 1]"),
+    "negative": (HEADER + "\nx1,0.5,1,a\nx2,-0.5,1,a", "3: score -0.5 outside [0, 1]"),
+    "nan": (HEADER + "\nx1,nan,1,a\n", "2: score nan outside [0, 1]"),
+    "inf": (HEADER + "\nx1,inf,1,a\n", "2: score inf outside [0, 1]"),
+    "duplicate id": (HEADER + "\nx1,0.5,1,a\nx1,0.6,0,b\n", "3: duplicate id 'x1'"),
+    "label 2": (HEADER + "\nx1,0.5,2,a\n", "2: label must be 0 or 1, got '2'"),
+    "padded label": (HEADER + "\nx1,0.5, 1,a\n", "2: label must be 0 or 1, got ' 1'"),
+    "group c": (HEADER + "\nx1,0.5,1,c\n", "2: group must be one of ('a', 'b'), got 'c'"),
+    "unparseable": (HEADER + "\nx1,abc,1,a\n", "2: unparseable score 'abc'"),
+    "empty score": (HEADER + "\nx1,,1,a\n", "2: unparseable score ''"),
+    "CRLF": (HEADER + "\r\nx1,0.5,1,a\r\nx2,0.5,1,c\r\n",
+             "3: group must be one of ('a', 'b'), got 'c'"),
+    "after a blank row": (HEADER + "\nx1,0.5,1,a\n\nx2,0.5,1\n", "4: expected 4 fields, got 3"),
+    "quoted comma": (HEADER + '\n"x,1",0.5,1,a\nx2,0.5,1\n', "3: expected 4 fields, got 3"),
+    "NUL": (HEADER + "\nx1,0.5,1,a\0\n", "2: group must be one of ('a', 'b'), got 'a\\x00'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ERROR_CASES))
+def test_score_file_error_text(tmp_path, case):
+    body, message = ERROR_CASES[case]
+    path = tmp_path / "bad.csv"
+    path.write_bytes(body.encode())
+    with pytest.raises(ScoreFileError) as info:
+        read_score_file(path)
+    assert str(info.value) == f"{path}:{message}"
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        HEADER + "\nx1,0.5,1,a\nx2,0.25,0,b\n",
+        HEADER + "\r\nx1,0.5,1,a\r\nx2,0.25,0,b\r\n",
+        HEADER + "\nx1,0.5,1,a\nx2,0.25,0,b",
+        HEADER + "\r\nx1,0.5,1,a\r\nx2,0.25,0,b",
+        HEADER + "\rx1,0.5,1,a\rx2,0.25,0,b\r",
+        HEADER + '\n"x1","0.5",1,a\n\nx2,0.25,0,"b"\n',
+    ],
+    ids=["LF", "CRLF", "LF, no final newline", "CRLF, no final newline", "CR", "quotes, blank row"],
+)
+def test_score_file_line_endings(tmp_path, body):
+    path = tmp_path / "scores.csv"
+    path.write_bytes(body.encode())
+    s = read_score_file(path)
+    assert s.scores.tolist() == [0.5, 0.25]
+    assert s.labels.tolist() == [1, 0]
+    assert s.groups.tolist() == ["a", "b"]
+
+
+@pytest.mark.parametrize("body", [HEADER, HEADER + "\n", HEADER + "\r\n"])
+def test_header_only_score_file_is_empty(tmp_path, body):
+    path = tmp_path / "scores.csv"
+    path.write_bytes(body.encode())
+    assert len(read_score_file(path)) == 0
+
+
+# Well-formed rows, and per field the values that fail one check or are csv
+# quirks; the last entry holds whole-row quirks.
+_clean_rows = st.lists(
+    st.tuples(
+        st.integers(0, 999).map(str),
+        st.floats(0.0, 1.0).flatmap(lambda x: st.sampled_from([format(x, ".10g"), repr(x)])),
+        st.sampled_from(["0", "1"]),
+        st.sampled_from(["a", "b"]),
+    ).map(list),
+    max_size=12,
+)
+QUIRKS = (
+    ["", " r1", "r1 ", "x_9", '"r2"', "é"],
+    [
+        "0.5", " 0.25", "0.75 ", "+0.5", "0_5", "1_0", "5e-1", "1E0", "1e-400", ".5", "1.",
+        "-0", "-0.0", "nan", "-nan", "inf", "Infinity", "1.5", "-1e-9", "abc", "", "0x1",
+        '"0.5"', "\t0.5", "\x1c0.5", "0.5\x00", "0.1234567890123456789",
+    ],
+    [" 1", "2", "", '"0"', "01"],
+    ["c", "A", " a", "", '"b"', "ab"],
+    ["", "x9,0.5,1", "x9,0.5,1,a,", '"x,9",0.5,1,a', "x9,0.5,1,a\r"],
+)
+_terminators = st.sampled_from(["\n", "\n", "\r\n", "\r"])
+
+
+@st.composite
+def score_file_bytes(draw):
+    """A score file of well-formed rows with up to two quirks: a bad field or
+    a bad row, a bad header, mixed line endings, a byte that is not UTF-8."""
+    rows = draw(_clean_rows)
+    # short ids and ids longer than eight bytes
+    prefix = draw(st.sampled_from(["r", "record-"]))
+    for row in rows:
+        row[0] = prefix + row[0]
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2])) if rows else 0):
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        field = draw(st.integers(0, 4))
+        if field < len(row):
+            row[field] = draw(st.sampled_from(QUIRKS[field]))
+        else:
+            row[:] = [draw(st.sampled_from(QUIRKS[4]))]
+    header = draw(st.sampled_from([HEADER] * 9 + ["\ufeff" + HEADER, "id,score,label"]))
+    lines = [header] + [",".join(row) for row in rows]
+    if draw(st.booleans()):
+        end = draw(_terminators)
+        text = end.join(lines) + (end if draw(st.booleans()) else "")
+    else:
+        text = "".join(line + draw(_terminators) for line in lines)
+    data = text.encode()
+    if draw(st.sampled_from([False] * 19 + [True])):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return data
+
+
+def test_field_over_the_csv_limit(tmp_path):
+    path = tmp_path / "scores.csv"
+    path.write_text(f"{HEADER}\nr0,0.5,1,a\n{'r' * (csv.field_size_limit() + 1)},0.5,1,a\n")
+    assert _read(read_score_file, path) == _read(oracles.loop_read_score_file, path)
+    assert _read(read_score_file, path)[0] is csv.Error
+
+
+def test_plain_files_are_parsed_in_bulk(tmp_path, monkeypatch):
+    rng = np.random.default_rng(53)
+    s = oracles.random_score_set(rng, 300, score_pool=np.round(rng.random(40), 10))
+    lf, crlf, long_ids = tmp_path / "lf.csv", tmp_path / "crlf.csv", tmp_path / "long.csv"
+    write_score_file(s, crlf)  # csv writes CRLF line ends
+    lf.write_bytes(crlf.read_bytes().replace(b"\r\n", b"\n"))
+    long_ids.write_bytes(lf.read_bytes().replace(b"\nr", b"\nrecord-"))
+    expected = [_read(oracles.loop_read_score_file, p) for p in (lf, crlf, long_ids)]
+
+    def row_reader(path):
+        raise AssertionError(f"{path} was read row by row")
+
+    monkeypatch.setattr("fairpot.io._read_score_rows", row_reader)
+    assert [_read(read_score_file, p) for p in (lf, crlf, long_ids)] == expected
+
+
+def _read(read, path):
+    try:
+        s = read(path)
+    except Exception as exc:  # the same exception, whatever its type
+        return type(exc), str(exc)
+    return s.scores.view(np.uint64).tolist(), s.labels.tolist(), s.groups.tolist(), (
+        s.scores.dtype, s.labels.dtype, s.groups.dtype
+    )
+
+
+@settings(max_examples=300)
+@given(score_file_bytes())
+@example(f"{HEADER}\nr0,0.5,1,a\nr1,-0.0,0,b\nr2,1e-400,1,a\n".encode())
+@example(f"{HEADER}\nr0,0.5,1,a\nr0,0.25,0,b\n".encode())
+@example(f"{HEADER}\r\nr0,0_5,1,a\r\nr1,+1E0,0,b\r\nr2, .5 ,0,a".encode())
+# csv takes the quotes off an id, and so finds a duplicate
+@example(f'{HEADER}\nr2,0.5,1,a\n"r2",0.25,0,b\n'.encode())
+# a byte that is not UTF-8 inside a field
+@example(f"{HEADER}\nr0,0.5,1,a\n".encode().replace(b"r0", b"r\xff0"))
+# a lone CR inside a row
+@example(f"{HEADER}\nr0,0.5,1,a\nr1,0.5\r,1,a\n".encode())
+def test_read_score_file_equals_row_loop(tmp_path_factory, data):
+    """Any file gives the row-at-a-time reader's records bit for bit, or its
+    exact error."""
+    path = tmp_path_factory.mktemp("scores") / "scores.csv"
+    path.write_bytes(data)
+    assert _read(read_score_file, path) == _read(oracles.loop_read_score_file, path)
 
 
 class TestSweepResultFile:

@@ -1,7 +1,8 @@
 """Property tests: the vectorized OT core, score map, post-logit scale
-search, sigmoid and whole-set top region against loop oracles, the rank
-metrics against brute-force pair counts, the fairpot map on record subsets,
-and the inverse normal CDF against scipy."""
+search, sigmoid and top region against loop oracles, the rank metrics against
+brute-force pair counts, the transported index sets and the score map psi
+across lambda, the fairpot map on record subsets, and the inverse normal CDF
+against scipy."""
 
 import re
 
@@ -17,7 +18,9 @@ from fairpot.baselines import DEFAULT_SCALE_GRID, fit_post_logit
 from fairpot.datagen import _ndtri
 from fairpot.metrics import (
     ScoreSet,
+    TopAlphaRegion,
     auc,
+    evaluate,
     pauc,
     pxauc,
     pxauc_disparity,
@@ -32,7 +35,7 @@ from fairpot.ot import (
     solve_ot_1d,
     wasserstein1_distance,
 )
-from fairpot.transport import build_score_map, fit_and_map
+from fairpot.transport import apply_phi, apply_psi, build_score_map, fit_and_map, fit_transport
 
 import oracles
 
@@ -197,7 +200,19 @@ def test_sigmoid_scalar_equals_masked_sigmoid(x):
     assert bits(got) == bits(expected)
 
 
-@given(labeled_sets(), st.sampled_from((1.0, 0.999, 0.95, 0.5, 0.3)))
+# Scores 0 (of either sign), 0.5 and 1: ties at the
+# threshold of nearly every region.
+tied_sets = st.lists(
+    st.tuples(st.sampled_from((0.0, -0.0, 0.5, 1.0)), st.integers(0, 1), st.sampled_from("ab")),
+    min_size=1,
+    max_size=40,
+).map(lambda records: labeled_set(*zip(*records)))
+
+
+@given(
+    st.one_of(labeled_sets(), tied_sets),
+    st.sampled_from((1.0, 0.999, 0.95, 0.7, 0.5, 0.3, 0.05)),
+)
 # ties at the lowest score: the threshold comes from the last of them
 @example(labeled_set([0.2, 0.5, 0.2, 0.9, 0.2], [1, 0, 0, 1, 1], "ababa"), 1.0)
 # a single record
@@ -205,6 +220,11 @@ def test_sigmoid_scalar_equals_masked_sigmoid(x):
 # zeros of both signs tie; the sign of the one ranked last is kept
 @example(labeled_set([0.0, 0.3, -0.0], [0, 1, 1], "aab"), 1.0)
 @example(labeled_set([-0.0, 0.3, 0.0], [0, 1, 1], "aab"), 1.0)
+# the region ends inside a run of ties, of both signs of zero, or of one score
+@example(labeled_set([0.0, -0.0, 0.3, 0.0, -0.0, 0.0], [0, 1, 1, 0, 0, 1], "aabbab"), 0.5)
+@example(labeled_set([-0.0, 0.0, 0.3, -0.0, 0.0, 0.0], [0, 1, 1, 0, 0, 1], "aabbab"), 0.5)
+@example(labeled_set([0.5] * 9 + [0.75], [0, 1] * 5, "ab" * 5), 0.3)
+@example(labeled_set([0.5] * 10, [0, 1] * 5, "ab" * 5), 0.7)
 def test_top_alpha_region_equals_sorting_path(s, alpha):
     got, expected = top_alpha_region(s, alpha), oracles.sorted_top_alpha_region(s, alpha)
     assert (got.alpha, got.n_alpha) == (expected.alpha, expected.n_alpha)
@@ -224,25 +244,141 @@ ONLY_B = labeled_set([0.3, 0.8, 0.3, 0.6], [1, 0, 0, 1], "bbbb")
 SINGLE = labeled_set([0.4], [1], "a")
 
 
-@given(labeled_sets(), st.sampled_from((1.0, 0.999, 0.5, 0.3, 0.01)))
-@example(TIED, 1.0)
-@example(TIED, 0.5)
-@example(ALL_POSITIVE, 1.0)
-@example(ALL_NEGATIVE, 0.5)
-@example(ONLY_B, 1.0)
-@example(ONLY_B, 0.5)
-@example(SINGLE, 1.0)
-def test_rank_metrics_equal_brute_force(s, alpha):
-    assert bits(auc(s)) == bits(oracles.brute_auc(s))
-    for g, h in (("a", "b"), ("b", "a")):
-        assert bits(xauc(s, g, h)) == bits(oracles.brute_xauc(s, g, h))
-    assert bits(xauc_disparity(s)) == bits(oracles.brute_xauc_disparity(s))
-    region = top_alpha_region(s, alpha)
+def assert_region_metrics_equal_brute_force(s, region):
     members = region.member_indices
     assert bits(pauc(s, region)) == bits(oracles.brute_pauc(s, members))
     for g, h in (("a", "b"), ("b", "a")):
         assert bits(pxauc(s, region, g, h)) == bits(oracles.brute_pxauc(s, members, g, h))
     assert bits(pxauc_disparity(s, region)) == bits(oracles.brute_pxauc_disparity(s, members))
+
+
+def any_region(s, picks) -> TopAlphaRegion:
+    """Region of the records whose pick is set, the picks cycled over ``s``."""
+    members = np.flatnonzero(np.resize(np.array(picks, dtype=bool), len(s)))
+    return TopAlphaRegion(alpha=1.0, n_alpha=len(members), threshold=0.0, member_indices=members)
+
+
+@given(
+    labeled_sets(),
+    st.sampled_from((1.0, 0.999, 0.5, 0.3, 0.01)),
+    st.lists(st.booleans(), min_size=1, max_size=30),
+    st.sampled_from("ab"),
+)
+@example(TIED, 1.0, [True, False], "b")
+@example(TIED, 0.5, [False, True, True], "a")
+@example(ALL_POSITIVE, 1.0, [True], "a")
+@example(ALL_NEGATIVE, 0.5, [False, True], "b")
+@example(ONLY_B, 1.0, [True, True, False], "b")
+@example(ONLY_B, 0.5, [False], "a")
+@example(SINGLE, 1.0, [True], "a")
+def test_rank_metrics_equal_brute_force(s, alpha, picks, flipped):
+    """Every metric equals brute force: on the set, on its top region, on any
+    strict sub-region, and as the sweep evaluates a mapped set, where the
+    region's records keep the unmapped set's labels and groups and take the
+    mapped scores."""
+    assert bits(auc(s)) == bits(oracles.brute_auc(s))
+    for g, h in (("a", "b"), ("b", "a")):
+        assert bits(xauc(s, g, h)) == bits(oracles.brute_xauc(s, g, h))
+    assert bits(xauc_disparity(s)) == bits(oracles.brute_xauc_disparity(s))
+    assert_region_metrics_equal_brute_force(s, top_alpha_region(s, alpha))
+    region = any_region(s, picks)
+    assert_region_metrics_equal_brute_force(s, region)
+    # every record, in reverse order
+    reverse = np.arange(len(s))[::-1]
+    assert_region_metrics_equal_brute_force(
+        s, TopAlphaRegion(alpha=1.0, n_alpha=len(s), threshold=0.0, member_indices=reverse)
+    )
+
+    # one group's scores reversed, which reorders them and keeps their ties
+    mapped = s.replace_group_scores(flipped, 1.0 - s.group_scores(flipped))
+    members = region.member_indices
+    evaluated = s.subset(members).with_scores(mapped.scores[members])
+    expected = mapped.subset(members)
+    if len(members):
+        everything = np.arange(len(members))
+        assert np.array_equal(bits(evaluate(evaluated, "partial")), bits(
+            (oracles.brute_pauc(expected, everything),
+             oracles.brute_pxauc_disparity(expected, everything))
+        ))
+    assert np.array_equal(bits(evaluate(evaluated, "global")), bits(
+        (oracles.brute_auc(expected), oracles.brute_xauc_disparity(expected))
+    ))
+
+
+unit_scores = st.lists(
+    st.one_of(st.sampled_from(POOL), st.floats(0.0, 1.0, allow_subnormal=False)),
+    min_size=1,
+    max_size=40,
+)
+lambda_grids = st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6).map(sorted)
+
+
+@given(unit_scores, unit_scores, lambda_grids)
+def test_transported_index_sets_nest_in_lambda(a, b, lambdas):
+    plan = fit_transport(a, b)
+    previous = set()
+    for lam in lambdas:
+        moved = set(apply_phi(b, plan, a, lam).transported_index_set.tolist())
+        assert previous <= moved
+        previous = moved
+
+
+def psi(a, b, lam):
+    """Score map of the group-b training scores moved by ``lam`` onto ``a``."""
+    return build_score_map(b, apply_phi(b, fit_transport(a, b), a, lam).transported_scores)
+
+
+@given(unit_scores, unit_scores, st.floats(0.0, 1.0), unit_scores)
+@example([0.5, 0.25], [0.75, 0.75, 0.1], 1.0, [0.0, 0.05, 0.1, 0.75, 0.8, 1.0])
+def test_psi_clamps_outside_the_knot_range(a, b, lam, queries):
+    score_map = psi(a, b, lam)
+    q = np.array(queries)
+    out = apply_psi(score_map, q)
+    below, above = q < score_map.knots_x[0], q > score_map.knots_x[-1]
+    assert np.array_equal(bits(out[below]), bits(np.full(below.sum(), score_map.knots_y[0])))
+    assert np.array_equal(bits(out[above]), bits(np.full(above.sum(), score_map.knots_y[-1])))
+
+
+def tie_sizes(train_scores) -> np.ndarray:
+    """How many training scores share each knot, in knot order."""
+    return np.unique(train_scores, return_counts=True)[1]
+
+
+@given(unit_scores, unit_scores, unit_scores)
+# three copies of 0.1 average to 0.10000000000000002
+@example([0.0], [0.1, 0.1, 0.1, 0.6], [0.05, 0.1, 0.3])
+def test_psi_is_the_identity_at_lambda_zero(a, b, queries):
+    """A knot of an untied training score maps to itself exactly; a tie
+    group's knot is the mean of its equal copies, which rounding may move.
+    (The sweep applies no psi at lambda 0, so its output is exact there.)"""
+    score_map = psi(a, b, 0.0)
+    x, y, sizes = score_map.knots_x, score_map.knots_y, tie_sizes(b)
+    untied = sizes == 1
+    assert np.array_equal(bits(y[untied]), bits(x[untied]))
+    assert np.all(np.abs(y - x) <= summation_tol(sizes, x))
+    if np.all(untied):
+        # between knots, interpolation on the line y = x rounds by an ulp at most
+        assert np.array_equal(bits(apply_psi(score_map, x)), bits(x))
+        q = np.clip(np.array(queries), x[0], x[-1])
+        assert np.all(np.abs(apply_psi(score_map, q) - q) <= np.spacing(q))
+
+
+@given(unit_scores, unit_scores, unit_scores)
+@example([0.1, 0.9], [0.3, 0.3, 0.3, 0.6], [0.0, 0.3, 0.45, 0.6, 1.0])
+# the tie group's mean at 0.0 rounds one ulp above the knot at 0.1
+@example([0.1], [0.0, 0.0, 0.0, 0.1], [0.0, 0.1])
+def test_psi_is_nondecreasing_at_lambda_one(a, b, queries):
+    """At lambda 1 every knot is the monotone projection of its training
+    score: psi is nondecreasing when the training scores are untied, and a
+    tie group's mean may step below its right neighbour by rounding only."""
+    score_map = psi(a, b, 1.0)
+    sizes = tie_sizes(b)
+    steps = np.diff(score_map.knots_y)
+    if np.all(sizes == 1):
+        assert np.all(steps >= 0)
+        assert np.all(np.diff(apply_psi(score_map, np.sort(queries))) >= 0)
+    else:
+        assert np.all(steps >= -summation_tol(sizes.max(), 1.0))
 
 
 @st.composite
