@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
+import os
 import sys
 from pathlib import Path
 from typing import Callable
@@ -115,7 +117,7 @@ def _fit_and_map(
         )
         # fairpot needs both groups among the drawn records, not in the
         # evaluated region: a region without the moving group is scored as is
-        return mapped, lambda draw, region: require_both_groups(test.subset(draw), "test")
+        return mapped, lambda draw, region: require_both_groups(test, "test", draw)
     if config.method == "unadjusted":
         return [(0.0, test)], None
     fit_set = train.subset(_region(config, train, np.arange(len(train))))
@@ -129,8 +131,72 @@ def _fit_and_map(
     # so an evaluated region must hold both groups too.
     return (
         [(0.0, baselines.wasserstein_fair(fit_set, test))],
-        lambda draw, region: require_both_groups(test.subset(region), "test"),
+        lambda draw, region: require_both_groups(test, "test", region),
     )
+
+
+def _replicate(
+    config: ExperimentConfig,
+    rep: int,
+    file_fit: tuple[ScoreSet, tuple | ValueError] | None = None,
+) -> list[tuple[float, float, float]] | str:
+    """Replicate ``rep``'s ``(lambda, accuracy, disparity)`` points, or the
+    message of the error that failed it. In file mode ``file_fit`` holds the
+    test file and the sweep's one ``_fit_and_map`` result (or the error it
+    raised), and the replicate evaluates a bootstrap draw of the mapped
+    records; without it the replicate draws its own synthetic cohort and
+    fits on its split."""
+    try:
+        if file_fit is None:
+            train, test = _synthetic_scored_split(
+                config, config.seed + rep if config.bootstrap_n > 0 else config.seed
+            )
+            draw = np.arange(len(test))
+        else:
+            test, fitted = file_fit
+            draw = _bootstrap_draw(config, len(test), rep)
+        region = _region(config, test, draw)
+        if file_fit is None:
+            fitted = _fit_and_map(config, train, test)
+        elif isinstance(fitted, ValueError):
+            raise fitted
+        mapped, check = fitted
+        if check is not None:
+            check(draw, region)
+        # the region's labels, groups and cells are taken once, and each
+        # lambda's evaluated set holds only its own scores
+        evaluated = test.subset(region)
+        return [
+            (lam, *metrics.evaluate(evaluated.with_scores(s.scores[region]), config.mode))
+            for lam, s in mapped
+        ]
+    except (ValueError, RuntimeError) as exc:
+        return str(exc)
+
+
+def _synthetic_replicates(config: ExperimentConfig, n_reps: int) -> list:
+    """``_replicate``'s outcome for each synthetic replicate, in replicate
+    order. Each replicate draws, scores and fits on a cohort of its own, so
+    they run in forked worker processes, one per CPU this process may use,
+    when there are two or more; the outcomes are the serial loop's. A worker
+    that dies (killed, out of memory) fails the sweep with a RuntimeError."""
+    work = functools.partial(_replicate, config)
+    # where the CPUs this process may use are unknown, run serially
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(cpus, n_reps)
+    if workers >= 2:
+        # imported here only: file-mode sweeps and one-CPU runs never pay for it
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        # fork, not spawn: a spawned worker imports numpy and fairpot afresh,
+        # which takes about as long as the pool saves. This process starts no
+        # thread of its own, and OpenBLAS stops its threads around a fork.
+        if "fork" in multiprocessing.get_all_start_methods():
+            context = multiprocessing.get_context("fork")
+            with ProcessPoolExecutor(workers, mp_context=context) as pool:
+                return list(pool.map(work, range(n_reps)))
+    return [work(rep) for rep in range(n_reps)]
 
 
 def _mean_points(rows: list[SweepRow]) -> list[TradeoffPoint]:
@@ -167,7 +233,6 @@ def cmd_sweep(args) -> int:
         raise ConfigError("train_path and test_path must be given together")
 
     n_reps = config.bootstrap_n if config.bootstrap_n > 0 else 1
-    resample = config.bootstrap_n > 0
 
     if file_mode:
         base_train = read_score_file(config.train_path)
@@ -175,59 +240,33 @@ def cmd_sweep(args) -> int:
         for score_set, path in ((base_train, config.train_path), (base_test, config.test_path)):
             if not len(score_set):
                 raise ScoreFileError(f"{path}: no records")
-
-    # A method's fit depends on the training set only. In file mode that set
-    # is the same for every replicate, so the whole test file is mapped once
-    # and each replicate evaluates its draw of the mapped records. An error
-    # from the fit or the map fails each replicate, after its draw.
-    fitted = fit_error = None
-    if file_mode:
+        # A method's fit depends on the training set only. In file mode that
+        # set is the same for every replicate, so the whole test file is
+        # mapped once and each replicate evaluates its draw of the mapped
+        # records. An error from the fit or the map fails each replicate,
+        # after its draw.
         try:
             fitted = _fit_and_map(config, base_train, base_test)
         except ValueError as exc:
-            fit_error = exc
+            fitted = exc
+        outcomes = [_replicate(config, rep, (base_test, fitted)) for rep in range(n_reps)]
+    else:
+        outcomes = _synthetic_replicates(config, n_reps)
 
     alpha_out = config.alpha if config.mode == "partial" else 1.0
     rows: list[SweepRow] = []
-    failures = 0
-    for rep in range(n_reps):
-        try:
-            if file_mode:
-                train, test = base_train, base_test
-                draw = _bootstrap_draw(config, len(test), rep)
-            else:
-                train, test = _synthetic_scored_split(
-                    config, config.seed + rep if resample else config.seed
-                )
-                draw = np.arange(len(test))
-            region = _region(config, test, draw)
-            if fit_error is not None:
-                raise fit_error
-            if not file_mode:
-                fitted = _fit_and_map(config, train, test)
-            mapped, check = fitted
-            if check is not None:
-                check(draw, region)
-            # the region's labels, groups and cells are taken once, and each
-            # lambda's evaluated set holds only its own scores
-            evaluated = test.subset(region)
-            points = [
-                TradeoffPoint(lam, *metrics.evaluate(evaluated.with_scores(s.scores[region]),
-                                                     config.mode), config.method, rep)
-                for lam, s in mapped
-            ]
-        except (ValueError, RuntimeError) as exc:
-            print(f"replicate {rep}: {exc}", file=sys.stderr)
-            failures += 1
+    for rep, outcome in enumerate(outcomes):
+        if isinstance(outcome, str):
+            print(f"replicate {rep}: {outcome}", file=sys.stderr)
             rows.append(
                 SweepRow(config.method, 0.0, alpha_out, rep, float("nan"), float("nan"), False)
             )
             continue
         rows.extend(
-            SweepRow(p.method_tag, p.lam, alpha_out, rep, p.accuracy, p.disparity, False)
-            for p in points
+            SweepRow(config.method, lam, alpha_out, rep, accuracy, disparity, False)
+            for lam, accuracy, disparity in outcome
         )
-    if failures == n_reps:
+    if all(isinstance(outcome, str) for outcome in outcomes):
         raise RuntimeError("all replicates failed")
 
     means = _mean_points(rows)

@@ -171,10 +171,14 @@ class ScoreSet:
         return ScoreSet._derived(scores, self.labels, self.groups, in_group_a=self.in_group_a)
 
 
-def require_both_groups(score_set: ScoreSet, name: str) -> None:
-    """Raise ``ValueError`` unless ``score_set`` holds records of both groups."""
-    for g in GROUPS:
-        if not np.any(score_set.group_mask(g)):
+def require_both_groups(
+    score_set: ScoreSet, name: str, indices: np.ndarray | None = None
+) -> None:
+    """Raise ``ValueError`` unless ``score_set`` (its records at ``indices``,
+    if given) holds records of both groups; group a is checked first."""
+    in_a = score_set.in_group_a if indices is None else score_set.in_group_a[indices]
+    for g, present in ((GROUP_A, in_a.any()), (GROUP_B, not in_a.all())):
+        if not present:
             raise ValueError(f"{name} set contains no group {g!r} records")
 
 

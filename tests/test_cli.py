@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -16,6 +17,15 @@ from fairpot.io import ExperimentConfig, read_score_file, read_sweep_results, wr
 from fairpot.metrics import ScoreSet
 
 import oracles
+
+
+# Whether this test process runs a multi-replicate synthetic sweep's
+# replicates in forked workers.
+SYNTHETIC_REPLICATES_POOLED = (
+    hasattr(os, "sched_getaffinity")
+    and len(os.sched_getaffinity(0)) >= 2
+    and "fork" in multiprocessing.get_all_start_methods()
+)
 
 
 def write_config(tmp_path, **kwargs):
@@ -268,14 +278,22 @@ class TestBaselineFits:
     @pytest.mark.parametrize("mode", ["global", "partial"])
     def test_fairpot_fits_transport_once_per_training_set(self, tmp_path, monkeypatch, mode):
         # file mode: one training file, one fit for the whole sweep; synthetic
-        # mode: each replicate draws its own cohort, so one fit per replicate
+        # mode: each replicate draws its own cohort, so one fit per replicate.
+        # Synthetic replicates may run in forked workers, so each call appends
+        # a line (process id and sizes) to a file rather than to a list.
         paths = write_golden_inputs(tmp_path)
-        calls = []
+        log = tmp_path / "fit_calls.txt"
         real_fit = transport.fit_transport
 
         def counting_fit(ref_train, mov_train):
-            calls.append((len(ref_train), len(mov_train)))
+            with log.open("a") as fh:
+                fh.write(f"{os.getpid()} {len(ref_train)} {len(mov_train)}\n")
             return real_fit(ref_train, mov_train)
+
+        def logged_calls():
+            lines = log.read_text().splitlines() if log.exists() else []
+            log.unlink(missing_ok=True)
+            return [tuple(int(v) for v in line.split()) for line in lines]
 
         monkeypatch.setattr(transport, "fit_transport", counting_fit)
         file_cfg = write_config(
@@ -288,15 +306,19 @@ class TestBaselineFits:
         )
         assert run("sweep", "--config", file_cfg, "--method", "fairpot", "--mode", mode) == 0
         assert len(read_sweep_results(tmp_path / "file" / f"sweep_fairpot_{mode}_results.csv")) == 15
+        calls = logged_calls()
         assert len(calls) == 1
-        assert sum(calls[0]) == (240 if mode == "global" else 72)
+        assert calls[0][0] == os.getpid()  # file-mode replicates run in this process
+        assert sum(calls[0][1:]) == (240 if mode == "global" else 72)
 
-        calls.clear()
         synth_cfg = write_config(
             tmp_path, output_dir=str(tmp_path / "synth"), bootstrap_n=3, lambdas=[0.0, 1.0]
         )
         assert run("sweep", "--config", synth_cfg, "--method", "fairpot", "--mode", mode) == 0
+        calls = logged_calls()
         assert len(calls) == 3
+        # with two or more CPUs, every synthetic replicate runs in a worker
+        assert [pid != os.getpid() for pid, _, _ in calls] == [SYNTHETIC_REPLICATES_POOLED] * 3
 
     @pytest.mark.parametrize(
         "method, message",
@@ -706,27 +728,28 @@ from pathlib import Path
 import fairpot.cli
 from fairpot.cli import main
 
-loaded = ["import" if "scipy" in sys.modules else None]
+module = sys.argv[4]
+loaded = ["import" if module in sys.modules else None]
 work = Path(sys.argv[1])
 results = []
 for method in ("fairpot", "post-logit", "wasserstein", "unadjusted"):
     assert main(["sweep", "--config", sys.argv[2], "--method", method]) == 0
     results.append(str(work / f"sweep_{method}_global_results.csv"))
-    loaded.append(f"sweep {method}" if "scipy" in sys.modules else None)
+    loaded.append(f"sweep {method}" if module in sys.modules else None)
 assert main(["pareto", *results, "--output", str(work / "frontier.csv")]) == 0
-loaded.append("pareto" if "scipy" in sys.modules else None)
+loaded.append("pareto" if module in sys.modules else None)
 assert main(["sweep", "--config", sys.argv[3], "--method", "unadjusted"]) == 0
-loaded.append("synthetic sweep" if "scipy" in sys.modules else None)
+loaded.append("synthetic sweep" if module in sys.modules else None)
 assert main(["synth", "--config", sys.argv[3]]) == 0
-loaded.append("synth" if "scipy" in sys.modules else None)
+loaded.append("synth" if module in sys.modules else None)
 print(loaded)
 """
 
 
-def test_scipy_never_loaded(tmp_path):
-    """A fresh interpreter: importing the CLI, file-mode sweeps of every method,
-    a pareto merge, a synthetic sweep and ``fairpot synth`` all run on numpy
-    alone; scipy is a test dependency only."""
+def modules_loaded_along_the_cli_paths(tmp_path, module):
+    """Run, in a fresh interpreter, an import of the CLI, file-mode sweeps of
+    every method, a pareto merge, a one-replicate synthetic sweep and
+    ``fairpot synth``; return, after each, whether ``module`` was loaded."""
     paths = write_golden_inputs(tmp_path)
     file_cfg = write_config(
         tmp_path,
@@ -740,10 +763,129 @@ def test_scipy_never_loaded(tmp_path):
     synth_cfg.write_text(json.dumps({"output_dir": str(tmp_path / "synth"), "bootstrap_n": 1}))
     src = Path(cli.__file__).resolve().parents[1]
     proc = subprocess.run(
-        [sys.executable, "-c", IMPORT_PATH_SCRIPT, str(tmp_path), file_cfg, str(synth_cfg)],
+        [sys.executable, "-c", IMPORT_PATH_SCRIPT, str(tmp_path), file_cfg, str(synth_cfg),
+         module],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == str([None] * 8)
+    return proc.stdout.splitlines()[-1]
+
+
+def test_scipy_never_loaded(tmp_path):
+    """Importing the CLI, file-mode sweeps of every method, a pareto merge, a
+    synthetic sweep and ``fairpot synth`` all run on numpy alone; scipy is a
+    test dependency only."""
+    assert modules_loaded_along_the_cli_paths(tmp_path, "scipy") == str([None] * 8)
+
+
+def test_multiprocessing_loaded_only_for_a_worker_pool(tmp_path):
+    """``multiprocessing`` is imported only to run synthetic replicates on
+    two or more CPUs: the CLI import, file-mode sweeps, the pareto merge and
+    a one-replicate synthetic sweep never load it, nor pay for its import."""
+    assert modules_loaded_along_the_cli_paths(tmp_path, "multiprocessing") == str([None] * 8)
+
+
+# sha256 of a small synthetic sweep (fairpot, partial mode, --plot, 4
+# replicates), recorded from the release that ran replicates one after another.
+# With alpha 0.002 the training top regions of replicates 0 and 3 hold one
+# group only, so those two replicates fail.
+SYNTHETIC_SWEEP_DIGESTS = {
+    0.3: {
+        "sweep_fairpot_partial.svg":
+            "71ae35925a7ca116a9293e04130b92c9e88aa234f385c04d4152ffd4f46a24c0",
+        "sweep_fairpot_partial_results.csv":
+            "796205f36954d4e3c0691329b69ada88f73fed1f57073e0fb0458c2414be5f3f",
+        "sweep_fairpot_partial_summary.csv":
+            "7186e68d10c890103ae61cde4d4554baf70f8e24f7ff6b6f9d9d620233a018f8",
+    },
+    0.002: {
+        "sweep_fairpot_partial.svg":
+            "90cd60c283b9e35420322b9c5d72b481b40aec79bd7543ee4e2826392a886dbf",
+        "sweep_fairpot_partial_results.csv":
+            "64ccb27cf69d67a75430774dce0280c91c784bfe624f2d865bffa17cf6380565",
+        "sweep_fairpot_partial_summary.csv":
+            "0f0d30d33120564f1b58e3ceb7595315b4e09c4dec330d05c4b6daaa260ab728",
+    },
+}
+
+
+def _pin_to_one_cpu():
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+@pytest.mark.parametrize("alpha", sorted(SYNTHETIC_SWEEP_DIGESTS))
+def test_synthetic_sweep_bytes_do_not_depend_on_the_cpus(tmp_path, alpha):
+    """The sweep run across every CPU the test may use and pinned to one CPU
+    writes the recorded bytes and the same stderr lines."""
+    src = Path(cli.__file__).resolve().parents[1]
+    stderr = {}
+    for name, preexec in (("all_cpus", None), ("one_cpu", _pin_to_one_cpu)):
+        out = tmp_path / name
+        cfg = write_config(
+            tmp_path, output_dir=str(out), seed=0, bootstrap_n=4, alpha=alpha,
+            lambdas=[0.0, 0.5, 1.0],
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "fairpot.cli", "sweep", "--config", cfg,
+             "--method", "fairpot", "--mode", "partial", "--plot"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            preexec_fn=preexec,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        digests = {
+            f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in sorted(out.iterdir())
+        }
+        assert digests == SYNTHETIC_SWEEP_DIGESTS[alpha]
+        stderr[name] = proc.stderr.splitlines()
+    assert stderr["all_cpus"] == stderr["one_cpu"]
+    if alpha == 0.002:
+        assert stderr["one_cpu"] == [
+            f"replicate {rep}: top region of the training set is missing a group" for rep in (0, 3)
+        ]
+
+
+KILLED_WORKER_SCRIPT = """
+import os
+import signal
+import sys
+
+from fairpot import cli
+
+real_split = cli._synthetic_scored_split
+
+
+def dying_split(config, seed):
+    if seed == 1:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return real_split(config, seed)
+
+
+cli._synthetic_scored_split = dying_split
+print(cli.main(["sweep", "--config", sys.argv[1]]))
+"""
+
+
+@pytest.mark.skipif(not SYNTHETIC_REPLICATES_POOLED, reason="needs a pool of forked workers")
+def test_a_killed_worker_fails_the_sweep(tmp_path):
+    """A worker killed mid-replicate ends the sweep with exit 1 and writes no
+    file, rather than leaving the sweep waiting for its result."""
+    cfg = write_config(tmp_path, output_dir=str(tmp_path / "out"), bootstrap_n=3, lambdas=[0.0])
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", KILLED_WORKER_SCRIPT, cfg],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["1"]
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")
+    assert not (tmp_path / "out").exists()
