@@ -27,6 +27,7 @@ from .datagen import (
     stream,
 )
 from .io import (
+    METHODS,
     ConfigError,
     ExperimentConfig,
     ScoreFileError,
@@ -83,22 +84,12 @@ def _synthetic_scored_split(config: ExperimentConfig, seed: int) -> tuple[ScoreS
     return scored(train_idx), scored(test_idx)
 
 
-def _bootstrap_draw(config: ExperimentConfig, n: int, rep: int) -> np.ndarray:
+def _bootstrap_draw(config: ExperimentConfig, n: int, rep: int) -> np.ndarray | None:
     """Indices of replicate ``rep``'s test records in file mode: ``n`` draws
-    with replacement, or every record once when ``bootstrap_n`` is 0."""
+    with replacement, or None (every record once) when ``bootstrap_n`` is 0."""
     if config.bootstrap_n > 0:
         return stream(config.seed, STAGE_BOOTSTRAP, rep).integers(0, n, size=n)
-    return np.arange(n)
-
-
-def _region(config: ExperimentConfig, score_set: ScoreSet, draw: np.ndarray) -> np.ndarray:
-    """Positions in ``score_set`` of the records a baseline is fitted on or a
-    method is evaluated on: the records at ``draw`` in global mode; in partial
-    mode the top-alpha region of those records, ranked on their unadjusted
-    scores."""
-    if config.mode == "global":
-        return draw
-    return draw[metrics.top_alpha_region(score_set.subset(draw), config.alpha).member_indices]
+    return None
 
 
 def _fit_and_map(
@@ -110,7 +101,8 @@ def _fit_and_map(
     records in order and shares its labels and groups: only scores change.
     Return ``(lambda, mapped test set)`` for each lambda (one lambda = 0 entry
     for a baseline), and the check, if any, that a replicate's draw and
-    evaluated region of ``test`` must pass."""
+    evaluated region of ``test`` (``metrics.select_region`` positions) must
+    pass."""
     if config.method == "fairpot":
         mapped = transport.fit_and_map(
             train, test, config.lambdas, config.mode, config.alpha, config.direction
@@ -120,7 +112,7 @@ def _fit_and_map(
         return mapped, lambda draw, region: require_both_groups(test, "test", draw)
     if config.method == "unadjusted":
         return [(0.0, test)], None
-    fit_set = train.subset(_region(config, train, np.arange(len(train))))
+    fit_set = metrics.region_set(train, config.mode, config.alpha)
     if config.method == "post-logit":
         params = baselines.fit_post_logit(fit_set)
         mapped = test.replace_group_scores(
@@ -136,40 +128,27 @@ def _fit_and_map(
 
 
 def _replicate(
-    config: ExperimentConfig,
-    rep: int,
-    file_fit: tuple[ScoreSet, tuple | ValueError] | None = None,
+    config: ExperimentConfig, rep: int, file_fit: tuple[ScoreSet, tuple] | None = None
 ) -> list[tuple[float, float, float]] | str:
     """Replicate ``rep``'s ``(lambda, accuracy, disparity)`` points, or the
     message of the error that failed it. In file mode ``file_fit`` holds the
-    test file and the sweep's one ``_fit_and_map`` result (or the error it
-    raised), and the replicate evaluates a bootstrap draw of the mapped
-    records; without it the replicate draws its own synthetic cohort and
-    fits on its split."""
+    test file and the sweep's one ``_fit_and_map`` result, and the replicate
+    evaluates a bootstrap draw of the mapped records; without it the
+    replicate draws its own synthetic cohort and fits on its split."""
     try:
         if file_fit is None:
             train, test = _synthetic_scored_split(
                 config, config.seed + rep if config.bootstrap_n > 0 else config.seed
             )
-            draw = np.arange(len(test))
+            mapped, check = _fit_and_map(config, train, test)
+            draw = None
         else:
-            test, fitted = file_fit
+            test, (mapped, check) = file_fit
             draw = _bootstrap_draw(config, len(test), rep)
-        region = _region(config, test, draw)
-        if file_fit is None:
-            fitted = _fit_and_map(config, train, test)
-        elif isinstance(fitted, ValueError):
-            raise fitted
-        mapped, check = fitted
+        region = metrics.select_region(test, config.mode, config.alpha, draw)
         if check is not None:
             check(draw, region)
-        # the region's labels, groups and cells are taken once, and each
-        # lambda's evaluated set holds only its own scores
-        evaluated = test.subset(region)
-        return [
-            (lam, *metrics.evaluate(evaluated.with_scores(s.scores[region]), config.mode))
-            for lam, s in mapped
-        ]
+        return metrics.evaluate_region(test, region, mapped, config.mode)
     except (ValueError, RuntimeError) as exc:
         return str(exc)
 
@@ -243,13 +222,13 @@ def cmd_sweep(args) -> int:
         # A method's fit depends on the training set only. In file mode that
         # set is the same for every replicate, so the whole test file is
         # mapped once and each replicate evaluates its draw of the mapped
-        # records. An error from the fit or the map fails each replicate,
-        # after its draw.
+        # records. An error from the fit or the map fails each replicate.
         try:
             fitted = _fit_and_map(config, base_train, base_test)
         except ValueError as exc:
-            fitted = exc
-        outcomes = [_replicate(config, rep, (base_test, fitted)) for rep in range(n_reps)]
+            outcomes = [str(exc)] * n_reps
+        else:
+            outcomes = [_replicate(config, rep, (base_test, fitted)) for rep in range(n_reps)]
     else:
         outcomes = _synthetic_replicates(config, n_reps)
 
@@ -339,10 +318,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="run one method over the lambda grid")
     sweep.add_argument("--config", help="JSON experiment config")
-    sweep.add_argument("--method", choices=("fairpot", "post-logit", "wasserstein", "unadjusted"))
-    sweep.add_argument("--mode", choices=("global", "partial"))
+    sweep.add_argument("--method", choices=METHODS)
+    sweep.add_argument("--mode", choices=transport.MODES)
     sweep.add_argument("--alpha", type=float, help="top-region fraction for partial mode")
-    sweep.add_argument("--direction", choices=("b_to_a", "a_to_b"))
+    sweep.add_argument("--direction", choices=transport.DIRECTIONS)
     sweep.add_argument("--seed", type=int, help="override the config seed")
     sweep.add_argument("--plot", action="store_true", help="also write an SVG trade-off chart")
     sweep.set_defaults(func=cmd_sweep)

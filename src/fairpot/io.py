@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .metrics import GROUP_A, GROUP_B, GROUPS, ScoreSet
+from .transport import DIRECTIONS, MODES
 
 SCORE_HEADER = ["id", "score", "label", "group"]
 SWEEP_HEADER = ["method", "lambda", "alpha", "replicate", "accuracy", "disparity", "on_frontier"]
@@ -325,10 +326,10 @@ class ExperimentConfig:
             raise ConfigError(f"lambdas must be distinct, got {list(self.lambdas)}")
         if not 0.0 < self.alpha <= 1.0:
             raise ConfigError(f"alpha must be in (0, 1], got {self.alpha}")
-        if self.mode not in ("global", "partial"):
-            raise ConfigError(f"mode must be 'global' or 'partial', got {self.mode!r}")
-        if self.direction not in ("b_to_a", "a_to_b"):
-            raise ConfigError(f"direction must be 'b_to_a' or 'a_to_b', got {self.direction!r}")
+        if self.mode not in MODES:
+            raise ConfigError(f"mode must be {_either(MODES)}, got {self.mode!r}")
+        if self.direction not in DIRECTIONS:
+            raise ConfigError(f"direction must be {_either(DIRECTIONS)}, got {self.direction!r}")
         if self.method not in METHODS:
             raise ConfigError(f"method must be one of {METHODS}, got {self.method!r}")
         if self.method == "post-logit" and self.direction != "b_to_a":
@@ -342,6 +343,10 @@ class ExperimentConfig:
             raise ConfigError("bootstrap_n must be non-negative")
         if not 0.0 < self.split_ratio < 1.0:
             raise ConfigError(f"split_ratio must be in (0, 1), got {self.split_ratio}")
+
+
+def _either(values: tuple[str, ...]) -> str:
+    return " or ".join(map(repr, values))
 
 
 _CONFIG_TYPES = {

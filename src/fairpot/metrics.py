@@ -11,6 +11,10 @@ group-h negatives, is read off with sorted queries. AUC is sum(C) / (P * N)
 and xAUC(g -> h) is C[g, h] / (P_g * N_h), so ``auc`` and ``xauc_disparity``
 on one set share the table; ``pauc`` and ``pxauc`` read the table of the
 region's records, which is the set's own when the region holds all of it.
+
+A sweep goes from a replicate's draw to its points through ``select_region``,
+the records a method is fitted or evaluated on, and ``evaluate_region``, the
+metrics of every lambda's mapped scores on those records.
 """
 
 from __future__ import annotations
@@ -100,17 +104,6 @@ class ScoreSet:
             n_neg={g: len(ranked[0, g]) for g in GROUPS},
         )
 
-    @cached_property
-    def n_pos(self) -> int:
-        return int(np.sum(self.labels == 1))
-
-    @cached_property
-    def n_neg(self) -> int:
-        return int(np.sum(self.labels == 0))
-
-    def count(self, label: int, group: str) -> int:
-        return len(self.cells.get((label, group), ()))
-
     def group_mask(self, group: str) -> np.ndarray:
         _check_group(group)
         return self.in_group_a if group == GROUP_A else ~self.in_group_a
@@ -157,18 +150,17 @@ class ScoreSet:
         )
 
     def replace_group_scores(self, group: str, new_scores: np.ndarray) -> "ScoreSet":
-        """Copy with one group's scores replaced, aligned to that group's record
-        order. Labels and groups are shared with this set."""
+        """The same records, as ``with_scores`` gives them, with one group's
+        scores replaced by ``new_scores`` in that group's record order."""
         mask = self.group_mask(group)
         new_scores = np.asarray(new_scores, dtype=float)
         if new_scores.shape != (int(mask.sum()),):
             raise ValueError(
                 f"expected {int(mask.sum())} scores for group {group!r}, got {new_scores.shape}"
             )
-        _check_scores(new_scores)
         scores = self.scores.copy()
         scores[mask] = new_scores
-        return ScoreSet._derived(scores, self.labels, self.groups, in_group_a=self.in_group_a)
+        return self.with_scores(scores)
 
 
 def require_both_groups(
@@ -280,13 +272,6 @@ def top_alpha_region(s: ScoreSet, alpha: float) -> TopAlphaRegion:
     if n < 1:
         raise ValueError("cannot take a top region of an empty ScoreSet")
     n_alpha = max(1, ceil_count(alpha, n))
-    if n_alpha == n:
-        # The record a stable descending sort ranks last is the last one
-        # holding the lowest score.
-        last = n - 1 - int(np.argmin(s.scores[::-1]))
-        return TopAlphaRegion(
-            alpha=alpha, n_alpha=n, threshold=float(s.scores[last]), member_indices=np.arange(n)
-        )
     # A stable descending sort takes every score above the n_alpha-th largest,
     # then that score's first ties in index order; the last tie taken sets the
     # threshold, signed zeros included. Found here in O(N), without the sort.
@@ -333,11 +318,47 @@ def pxauc_disparity(s: ScoreSet, region: TopAlphaRegion) -> float:
     return _region_counts(s, region).xauc_disparity()
 
 
-def evaluate(s: ScoreSet, mode: str) -> tuple[float, float]:
-    """(accuracy, disparity) of an evaluated set: AUC and xAUC disparity in
-    global mode; in partial mode, where ``s`` holds the top region's records,
-    pAUC and pxAUC disparity over all of them."""
+def select_region(
+    s: ScoreSet, mode: str, alpha: float | None, draw: np.ndarray | None = None
+) -> np.ndarray | None:
+    """Positions in ``s`` of the records a method is fitted or evaluated on,
+    or None for every record in order. In global mode these are the records
+    at ``draw`` (every record when there is no draw); in partial mode, the
+    top-``alpha`` region of those records, ranked on their scores."""
     if mode == "global":
-        return auc(s), xauc_disparity(s)
-    whole = top_alpha_region(s, 1.0)
-    return pauc(s, whole), pxauc_disparity(s, whole)
+        return draw
+    if alpha is None:
+        raise ValueError("partial mode requires alpha")
+    drawn = s if draw is None else s.subset(draw)
+    top = top_alpha_region(drawn, alpha).member_indices
+    return top if draw is None else draw[top]
+
+
+def region_set(s: ScoreSet, mode: str, alpha: float | None) -> ScoreSet:
+    """The records of ``s`` that ``select_region`` picks: ``s`` itself in
+    global mode."""
+    idx = select_region(s, mode, alpha)
+    return s if idx is None else s.subset(idx)
+
+
+def evaluate_region(
+    test: ScoreSet, region: np.ndarray | None, mapped, mode: str
+) -> list[tuple[float, float, float]]:
+    """``(lam, accuracy, disparity)`` of each ``(lam, mapped set)`` in
+    ``mapped``, each mapped set holding ``test``'s records in order with new
+    scores, evaluated on the records at ``region`` (from ``select_region``):
+    AUC and xAUC disparity in global mode, pAUC and pxAUC disparity over all
+    of them in partial mode. The region's labels, groups and cells are taken
+    once, and each lambda's evaluated set holds only its own scores."""
+    if region is not None:
+        evaluated = test.subset(region)
+        # built one lambda at a time, so only one evaluated set is held
+        mapped = ((lam, evaluated.with_scores(s.scores[region])) for lam, s in mapped)
+    points = []
+    for lam, s in mapped:
+        if mode == "global":
+            points.append((lam, auc(s), xauc_disparity(s)))
+        else:
+            whole = top_alpha_region(s, 1.0)
+            points.append((lam, pauc(s, whole), pxauc_disparity(s, whole)))
+    return points

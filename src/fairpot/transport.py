@@ -81,15 +81,8 @@ class ScoreMap:
         return len(self.knots_x)
 
     def evaluate(self, values) -> np.ndarray:
-        v = np.asarray(values, dtype=float)
-        out = np.interp(v, self.knots_x, self.knots_y)
-        # force exact knot hits: a query equal to a knot x returns its y, bit for bit
-        pos = np.searchsorted(self.knots_x, v)
-        inside = pos < len(self.knots_x)
-        hit = inside.copy()
-        hit[inside] = self.knots_x[pos[inside]] == v[inside]
-        out[hit] = self.knots_y[pos[hit]]
-        return out
+        # np.interp returns a knot's y, bit for bit, for a query equal to its x
+        return np.interp(np.asarray(values, dtype=float), self.knots_x, self.knots_y)
 
 
 def fit_transport(scores_a_train, scores_b_train) -> TransportPlan:
@@ -157,8 +150,6 @@ def build_score_map(original_train, transported_train) -> ScoreMap:
     order = np.argsort(x, kind="stable")
     xs, ys = x[order], y[order]
     ux, start, counts = np.unique(xs, return_index=True, return_counts=True)
-    if len(ux) == len(xs):
-        return ScoreMap(knots_x=ux, knots_y=ys)
     return ScoreMap(knots_x=ux, knots_y=np.add.reduceat(ys, start) / counts)
 
 
@@ -197,10 +188,7 @@ def fit_and_map(
             raise ValueError(f"lambda values must lie in [0, 1], got {lam}")
     moving, reference = _moving_reference(direction)
     require_both_groups(train, "train")
-    if mode == "partial":
-        if alpha is None:
-            raise ValueError("partial mode requires alpha")
-        train = train.subset(metrics.top_alpha_region(train, alpha).member_indices)
+    train = metrics.region_set(train, mode, alpha)
     mov_train = train.group_scores(moving)
     ref_train = train.group_scores(reference)
     if len(mov_train) == 0 or len(ref_train) == 0:
@@ -247,15 +235,13 @@ def sweep(
 
     In partial mode the top region is taken once from the merged pre-transport
     scores (train for fitting, test for evaluation) and held fixed; metrics are
-    computed within the region members only.
+    computed within the region members only. The points are those of a
+    ``fairpot sweep`` on these sets without a bootstrap.
     """
     mapped = fit_and_map(train, test, lambdas, mode, alpha, direction)
     require_both_groups(test, "test")
-    if mode == "partial":
-        region = metrics.top_alpha_region(test, alpha).member_indices
-        evaluated = test.subset(region)
-        mapped = [(lam, evaluated.with_scores(s.scores[region])) for lam, s in mapped]
+    region = metrics.select_region(test, mode, alpha)
     return [
-        TradeoffPoint(lam, *metrics.evaluate(s, mode), method_tag, replicate_id)
-        for lam, s in mapped
+        TradeoffPoint(lam, accuracy, disparity, method_tag, replicate_id)
+        for lam, accuracy, disparity in metrics.evaluate_region(test, region, mapped, mode)
     ]

@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line harness."""
 
+import csv
 import hashlib
 import json
 import multiprocessing
@@ -11,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import fairpot
 from fairpot import baselines, cli, datagen, metrics, transport
 from fairpot.cli import main
 from fairpot.io import ExperimentConfig, read_score_file, read_sweep_results, write_score_file
@@ -719,6 +721,41 @@ def test_golden_files_cover_every_sweep():
 @pytest.mark.parametrize("name", GOLDEN_NAMES)
 def test_golden_sweep_bytes(name, golden_outputs):
     assert golden_outputs[name] == (GOLDEN_DIR / name).read_bytes()
+
+
+@pytest.mark.parametrize("mode", transport.MODES)
+@pytest.mark.parametrize("direction", transport.DIRECTIONS)
+def test_library_sweep_points_are_the_cli_rows(tmp_path, mode, direction):
+    # fairpot.sweep evaluates through the CLI's path: a file-mode fairpot
+    # sweep without a bootstrap writes its points, to 10 significant digits
+    paths = write_golden_inputs(tmp_path)
+    lambdas = [0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0]
+    cfg = write_config(
+        tmp_path,
+        output_dir=str(tmp_path),
+        bootstrap_n=0,
+        alpha=0.3,
+        lambdas=lambdas,
+        train_path=str(paths["train"]),
+        test_path=str(paths["test"]),
+    )
+    argv = ["sweep", "--config", cfg, "--method", "fairpot", "--mode", mode]
+    assert run(*argv, "--direction", direction) == 0
+    with (tmp_path / f"sweep_fairpot_{mode}_results.csv").open(newline="") as fh:
+        rows = [(r[0], r[1], r[3], r[4], r[5]) for r in list(csv.reader(fh))[1:]]
+    points = fairpot.sweep(
+        read_score_file(paths["train"]),
+        read_score_file(paths["test"]),
+        lambdas,
+        mode=mode,
+        alpha=0.3,
+        direction=direction,
+    )
+    assert rows == [
+        (p.method_tag, f"{p.lam:.10g}", str(p.replicate_id), f"{p.accuracy:.10g}",
+         f"{p.disparity:.10g}")
+        for p in points
+    ]
 
 
 IMPORT_PATH_SCRIPT = """

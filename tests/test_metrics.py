@@ -28,10 +28,10 @@ def make_set(scores, labels, groups):
 
 class TestScoreSet:
     def test_counts(self):
-        s = make_set([0.9, 0.8, 0.7, 0.6], [1, 0, 1, 0], ["a", "a", "b", "b"])
-        assert s.n_pos == 2 and s.n_neg == 2
-        assert s.count(1, GROUP_A) == 1
-        assert s.count(0, GROUP_B) == 1
+        # class sizes by group, as the pair-count table holds them
+        s = make_set([0.9, 0.8, 0.7, 0.6, 0.5], [1, 0, 1, 0, 0], ["a", "a", "b", "b", "b"])
+        assert s.pair_counts.n_pos == {GROUP_A: 1, GROUP_B: 1}
+        assert s.pair_counts.n_neg == {GROUP_A: 1, GROUP_B: 2}
 
     def test_replace_group_scores(self):
         s = make_set([0.2, 0.9, 0.5], [1, 0, 1], ["a", "b", "a"])

@@ -20,7 +20,7 @@ from fairpot.metrics import (
     ScoreSet,
     TopAlphaRegion,
     auc,
-    evaluate,
+    evaluate_region,
     pauc,
     pxauc,
     pxauc_disparity,
@@ -292,15 +292,20 @@ def test_rank_metrics_equal_brute_force(s, alpha, picks, flipped):
     # one group's scores reversed, which reorders them and keeps their ties
     mapped = s.replace_group_scores(flipped, 1.0 - s.group_scores(flipped))
     members = region.member_indices
-    evaluated = s.subset(members).with_scores(mapped.scores[members])
     expected = mapped.subset(members)
+
+    def evaluated(mode):
+        [(lam, *point)] = evaluate_region(s, members, [(0.5, mapped)], mode)
+        assert lam == 0.5
+        return bits(tuple(point))
+
     if len(members):
         everything = np.arange(len(members))
-        assert np.array_equal(bits(evaluate(evaluated, "partial")), bits(
+        assert np.array_equal(evaluated("partial"), bits(
             (oracles.brute_pauc(expected, everything),
              oracles.brute_pxauc_disparity(expected, everything))
         ))
-    assert np.array_equal(bits(evaluate(evaluated, "global")), bits(
+    assert np.array_equal(evaluated("global"), bits(
         (oracles.brute_auc(expected), oracles.brute_xauc_disparity(expected))
     ))
 

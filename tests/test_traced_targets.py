@@ -1,14 +1,25 @@
 """The benchmark's tracer wraps fixed names in ``fairpot``; a change that
-drops or renames one must fail here, not only in a benchmark run."""
+drops or renames one, or takes it off the path the CLI runs, must fail here,
+not only in a benchmark run."""
 
 import importlib
 import importlib.util
+import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from fairpot import cli, transport
+from fairpot.io import METHODS
+
+from test_cli import write_golden_inputs
+
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+# The CLI has fitted through transport.fit_and_map, not transport.sweep, since
+# the four methods share one sweep pipeline.
+NOT_ON_THE_CLI_PATH = {"transport.sweep"}
 
 
 def _tracer():
@@ -19,7 +30,55 @@ def _tracer():
     return module
 
 
-@pytest.mark.parametrize("name", [t.name for t in _tracer().TARGETS])
+tracer = _tracer()
+
+
+@pytest.mark.parametrize("name", [t.name for t in tracer.TARGETS])
 def test_traced_name_is_a_fairpot_callable(name):
     module, func = name.split(".")
     assert callable(getattr(importlib.import_module(f"fairpot.{module}"), func, None))
+
+
+def _config(path: Path, **kwargs) -> str:
+    path.write_text(json.dumps(kwargs))
+    return str(path)
+
+
+def test_every_traced_name_is_called_on_the_cli_paths(tmp_path):
+    # file-mode sweeps of every method in both modes, a one-replicate
+    # synthetic sweep with a chart (which runs in this process), and a merge
+    paths = write_golden_inputs(tmp_path)
+    file_cfg = _config(
+        tmp_path / "file.json",
+        output_dir=str(tmp_path / "file"),
+        bootstrap_n=2,
+        lambdas=[0.0, 0.5, 1.0],
+        train_path=str(paths["train"]),
+        test_path=str(paths["test"]),
+    )
+    synth_cfg = _config(
+        tmp_path / "synth.json", output_dir=str(tmp_path / "synth"), bootstrap_n=1
+    )
+    modules = {
+        name.split(".", 1)[1] if "." in name else name: mod
+        for name, mod in sys.modules.items()
+        if name == "fairpot" or name.startswith("fairpot.")
+    }
+    traced = tracer.Tracer()
+    absent = traced.install(modules)
+    try:
+        for method in METHODS:
+            for mode in transport.MODES:
+                assert cli.main(["sweep", "--config", file_cfg, "--method", method,
+                                 "--mode", mode]) == 0
+        assert cli.main(["sweep", "--config", synth_cfg, "--plot"]) == 0
+        results = [str(tmp_path / "file" / f"sweep_{m}_partial_results.csv") for m in METHODS]
+        assert cli.main(["pareto", *results, "--output", str(tmp_path / "frontier.csv")]) == 0
+    finally:
+        traced.uninstall()
+    assert absent == []
+    assert traced.count_errors == {}
+    calls = Counter(span["name"] for span in traced.spans)
+    assert [
+        t.name for t in tracer.TARGETS if t.name not in NOT_ON_THE_CLI_PATH and not calls[t.name]
+    ] == []

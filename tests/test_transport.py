@@ -149,6 +149,16 @@ class TestApplyPsi:
         m = build_score_map(b, phi.transported_scores)
         assert np.array_equal(apply_psi(m, b), phi.transported_scores)
 
+    def test_knot_hit_is_exact_where_the_slope_overflows(self):
+        # (0.7 - 0.2) / 5e-324 overflows to inf, so a hit on the first knot
+        # must not be computed as y + slope * 0, which is nan
+        knots_y = np.array([0.2, 0.7, 0.9])
+        m = build_score_map([0.0, 5e-324, 1.0], knots_y)
+        assert list(m.knots_x) == [0.0, 5e-324, 1.0]
+        queries = np.array([0.0, -0.0, 5e-324, 1.0])
+        got = apply_psi(m, queries)
+        assert got.tobytes() == knots_y[[0, 0, 1, 2]].tobytes()
+
     def test_clamps_above_training_range(self):
         m = build_score_map([0.2, 0.6], [0.3, 0.4])
         assert apply_psi(m, [0.95])[0] == 0.4
