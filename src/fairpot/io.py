@@ -83,12 +83,25 @@ def read_score_file(path) -> ScoreSet:
 
 
 # What a plain score file is made of: printable ASCII other than the quote
-# character, and line feeds. Any other byte is left to the row reader.
-_PLAIN_BYTES = bytes(range(0x20, 0x7F)).replace(b'"', b"") + b"\n"
+# character, line feeds, and carriage returns just before a line feed. Any
+# other byte, and a lone CR, is left to the row reader.
+_PLAIN_BYTES = bytes(range(0x20, 0x7F)).replace(b'"', b"") + b"\r\n"
 _HEADER_LINE = ",".join(SCORE_HEADER).encode()
-_NL, _COMMA, _ZERO, _ONE, _A, _B = b"\n,01ab"  # byte values
+_NL, _CR, _COMMA, _DOT, _ZERO, _ONE, _A, _B = b"\n\r,.01ab"  # byte values
 # Ids of at most this many bytes are checked for duplicates as sorted integers.
 _ID_KEY_BYTES = 8
+# Masks of the last w bytes of a big-endian word, and of the last w bytes of a
+# little-endian one, for w = 0..8.
+_LOW_BYTES = np.array([(1 << 8 * w) - 1 for w in range(9)], dtype=np.uint64)
+_HIGH_BYTES = np.array([(1 << 64) - (1 << 64 - 8 * w) for w in range(9)], dtype=np.uint64)
+# A score field in canonical form is "0." and 1 to this many digits: its
+# digits read as an integer stay below 10**15 < 2**53.
+_MAX_DIGITS = 15
+_POW10 = np.array([float(10**k) for k in range(_MAX_DIGITS + 1)])
+# One byte value repeated in all 8 bytes of a word.
+_BYTES_0F, _BYTES_F0, _BYTES_30, _BYTES_06 = (
+    np.uint64(b * 0x0101010101010101) for b in (0x0F, 0xF0, 0x30, 0x06)
+)
 
 
 def _parse_plain_score_file(data: bytes) -> ScoreSet | None:
@@ -98,24 +111,30 @@ def _parse_plain_score_file(data: bytes) -> ScoreSet | None:
     and no blank rows; one-byte labels and groups; scores that ``float``
     parses into [0, 1]; unique ids. On such a file the row reader gives the
     same records, bit for bit."""
-    if b"\r" in data:
-        data = data.replace(b"\r\n", b"\n")
-    if data.translate(None, _PLAIN_BYTES):
-        return None  # this takes in a lone CR, which ends a csv row too
-    header, _, body = data.partition(b"\n")
-    body = body.removesuffix(b"\n")
-    if header != _HEADER_LINE or not body:
+    if data.translate(None, _PLAIN_BYTES) or not data.startswith(_HEADER_LINE):
         return None
-    arr = np.frombuffer(body, dtype=np.uint8)
-    ends = np.append(np.flatnonzero(arr == _NL), len(arr))
-    starts = np.append(0, ends[:-1] + 1)
+    arr = np.frombuffer(data, dtype=np.uint8)
+    # A line ends at a LF, or at the CR just before it; the last line may
+    # have no line end. A CR elsewhere ends a csv row too: the row reader
+    # takes that file.
+    newlines = np.flatnonzero(arr == _NL)
+    crlf = arr[newlines - 1] == _CR
+    if np.count_nonzero(arr == _CR) != np.count_nonzero(crlf):
+        return None
+    line_ends = newlines - crlf
+    if not data.endswith(b"\n"):
+        line_ends = np.append(line_ends, len(arr))
+    if len(line_ends) < 2 or line_ends[0] != len(_HEADER_LINE):
+        return None
+    starts, ends = newlines[: len(line_ends) - 1] + 1, line_ends[1:]
     if (ends - starts).max() > csv.field_size_limit():
         return None
-    # Three commas per line, the last two just before a one-byte label and a
-    # one-byte group. Row i takes the commas ranked 3i to 3i + 2; once its
-    # third sits two bytes before line i's end, after which there is no
-    # comma, lines 0 to i hold exactly 3(i + 1) commas between them.
-    commas = np.flatnonzero(arr == _COMMA)
+    # Three commas per row, the last two just before a one-byte label and a
+    # one-byte group. Row i takes the commas ranked 3i to 3i + 2 after the
+    # header's three; once its third sits two bytes before row i's end, after
+    # which there is no comma, rows 0 to i hold exactly 3(i + 1) commas
+    # between them.
+    commas = np.flatnonzero(arr == _COMMA)[3:]
     if len(commas) != 3 * len(ends):
         return None
     commas = commas.reshape(-1, 3)
@@ -125,12 +144,15 @@ def _parse_plain_score_file(data: bytes) -> ScoreSet | None:
     label, group = arr[label_at], arr[group_at]
     if not (np.all((label == _ZERO) | (label == _ONE)) and np.all((group == _A) | (group == _B))):
         return None
-    if not _ids_unique(body, arr, starts, commas[:, 0]):
+    if not _ids_unique(data, starts, commas[:, 0]):
         return None
+    first, stop = commas[:, 0] + 1, commas[:, 1]
+    scores, bulk = _canonical_decimals(data, first, stop)
+    rest = np.flatnonzero(~bulk)
     try:
         # On printable ASCII, float() parses bytes exactly as it parses the
         # str the row reader passes it.
-        scores = np.array(list(map(float, body.split(b",")[1::3])))
+        scores[rest] = [float(data[a:b]) for a, b in zip(first[rest].tolist(), stop[rest].tolist())]
     except ValueError:
         return None
     if not (scores.min() >= 0.0 and scores.max() <= 1.0):
@@ -144,20 +166,64 @@ def _parse_plain_score_file(data: bytes) -> ScoreSet | None:
     )
 
 
-def _ids_unique(body: bytes, arr: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> bool:
-    """Whether the id fields ``body[starts[i]:stops[i]]`` are distinct."""
+def _words(data: bytes, dtype: str) -> np.ndarray:
+    """The 8-byte word of ``dtype`` that starts at each offset of ``data``: a
+    read-only view, so a gather from it reads 8 bytes per index."""
+    return np.ndarray((len(data) - 7,), dtype=dtype, buffer=data, strides=(1,))
+
+
+def _ids_unique(data: bytes, starts: np.ndarray, stops: np.ndarray) -> bool:
+    """Whether the id fields ``data[starts[i]:stops[i]]``, each ending at
+    least 8 bytes into ``data``, are distinct."""
     width = stops - starts
-    n_bytes = int(width.max())
-    if n_bytes > _ID_KEY_BYTES:
-        return len({body[a:b] for a, b in zip(starts.tolist(), stops.tolist())}) == len(starts)
-    # Each id as a big-endian integer of its bytes, zero-padded on the right:
-    # no id holds a zero byte, so equal keys mean equal ids.
-    keys = np.zeros(len(starts), dtype=np.uint64)
-    for j in range(n_bytes):
-        byte = np.where(width > j, arr.take(starts + j, mode="clip"), 0)
-        keys = (keys << np.uint64(8)) | byte.astype(np.uint64)
+    if width.max() > _ID_KEY_BYTES:
+        return len({data[a:b] for a, b in zip(starts.tolist(), stops.tolist())}) == len(starts)
+    # Each id as the big-endian integer of the 8 bytes that end with it, the
+    # bytes before the id zeroed: no id holds a zero byte, so equal keys mean
+    # equal ids.
+    keys = _words(data, ">u8")[stops - 8] & _LOW_BYTES[width]
     keys.sort()
     return not np.any(keys[1:] == keys[:-1])
+
+
+def _canonical_decimals(data: bytes, first: np.ndarray, stop: np.ndarray):
+    """``(values, bulk)`` for the fields ``data[first[i]:stop[i]]``, each
+    ending at least 16 bytes into ``data`` and followed by another byte, all
+    of ``data`` being printable ASCII or line ends. ``bulk`` marks the fields
+    in canonical form, "0." and then 1 to 15 digits, and ``values`` holds
+    their ``float()`` values; every other entry of ``values`` is to be
+    replaced.
+
+    A canonical field with k digits is the integer d of its digits over
+    10**k. Both are exact binary64 values, so one IEEE division returns the
+    decimal correctly rounded, as ``float()`` does (W. D. Clinger, "How to
+    Read Floating Point Numbers Accurately", PLDI 1990). The digits are read
+    8 at a time from the two 8-byte words that end with the field."""
+    arr = np.frombuffer(data, dtype=np.uint8)
+    k = stop - first - 2
+    bulk = (k >= 1) & (k <= _MAX_DIGITS) & (arr[first] == _ZERO) & (arr[first + 1] == _DOT)
+    words = _words(data, "<u8")
+    low, low_ok = _eight_digits(words[stop - 8], np.clip(k, 0, 8))
+    high, high_ok = _eight_digits(words[stop - 16], np.clip(k - 8, 0, 8))
+    bulk &= low_ok & high_ok
+    digits = high * np.uint64(10**8) + low
+    return digits.astype(float) / _POW10[np.clip(k, 0, _MAX_DIGITS)], bulk
+
+
+def _eight_digits(words: np.ndarray, n: np.ndarray):
+    """``(value, ok)``: the last ``n[i]`` bytes of each little-endian
+    ``words[i]`` read as a decimal integer, and whether they are all digits."""
+    keep = _HIGH_BYTES[n]
+    # b is a digit when b & 0xF0 and (b + 6) & 0xF0 are both 0x30; adding 6
+    # to a printable ASCII byte carries nothing into the next byte.
+    wrong = ((words & _BYTES_F0) ^ _BYTES_30) | (((words + _BYTES_06) & _BYTES_F0) ^ _BYTES_30)
+    # Digit values with the first digit in the lowest byte, behind zeros:
+    # merge neighbouring bytes, then 2-byte lanes, then 4-byte lanes.
+    x = words & _BYTES_0F & keep
+    x = (x * np.uint64(10) + (x >> np.uint64(8))) & np.uint64(0x00FF00FF00FF00FF)
+    x = (x * np.uint64(100) + (x >> np.uint64(16))) & np.uint64(0x0000FFFF0000FFFF)
+    x = (x * np.uint64(10000) + (x >> np.uint64(32))) & np.uint64(0xFFFFFFFF)
+    return x, (wrong & keep) == 0
 
 
 def _read_score_rows(path: Path) -> ScoreSet:

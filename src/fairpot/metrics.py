@@ -139,15 +139,17 @@ class ScoreSet:
 
     def with_scores(self, scores: np.ndarray) -> "ScoreSet":
         """The same records holding ``scores``, one per record in record order.
-        Labels, groups and their cached group mask and cells are shared with
-        this set, so only the pair counts are computed afresh."""
+        Labels, groups and their group mask are shared with this set, and so
+        are its cells once this set holds them; no set computes cells it
+        never reads."""
         scores = np.asarray(scores, dtype=float)
         if scores.shape != self.scores.shape:
             raise ValueError(f"expected {len(self)} scores, got {scores.shape}")
         _check_scores(scores)
-        return ScoreSet._derived(
-            scores, self.labels, self.groups, in_group_a=self.in_group_a, cells=self.cells
-        )
+        cached = {"in_group_a": self.in_group_a}
+        if "cells" in self.__dict__:
+            cached["cells"] = self.cells
+        return ScoreSet._derived(scores, self.labels, self.groups, **cached)
 
     def replace_group_scores(self, group: str, new_scores: np.ndarray) -> "ScoreSet":
         """The same records, as ``with_scores`` gives them, with one group's
@@ -350,12 +352,13 @@ def evaluate_region(
     AUC and xAUC disparity in global mode, pAUC and pxAUC disparity over all
     of them in partial mode. The region's labels, groups and cells are taken
     once, and each lambda's evaluated set holds only its own scores."""
-    if region is not None:
-        evaluated = test.subset(region)
-        # built one lambda at a time, so only one evaluated set is held
-        mapped = ((lam, evaluated.with_scores(s.scores[region])) for lam, s in mapped)
+    evaluated = test if region is None else test.subset(region)
+    evaluated.cells  # computed here once, and shared by each lambda's set
     points = []
-    for lam, s in mapped:
+    for lam, mapped_set in mapped:
+        scores = mapped_set.scores if region is None else mapped_set.scores[region]
+        # built one lambda at a time, so only one evaluated set is held
+        s = evaluated.with_scores(scores)
         if mode == "global":
             points.append((lam, auc(s), xauc_disparity(s)))
         else:

@@ -8,10 +8,13 @@ computed without a loop: the cumulative masses (``np.cumsum``) of both sorted
 measures are merged into one grid of distinct levels, and each grid interval
 is assigned to the source and target point whose cumulative mass first
 reaches its upper end (``np.searchsorted``). For uniform measures the grid is kept in integer units
-of 1/(n*m), so plan masses are exact. Plans are stored as sparse (source,
-target, mass) triples; a monotone plan has at most n + m - 1 of them. The
-barycentric projection reduces those triples per source row with
-``np.add.reduceat``.
+of 1/(n*m), so plan masses are exact and the point that holds a level is
+found by integer division. Plans are stored as sparse (source, target, mass)
+triples; a monotone plan has at most n + m - 1 of them. Triples are put in
+(source, target) order by sorting the one int64 key
+``source * target_n + target``, which orders as the pair does and sorts in a
+fraction of the time of a two-key ``np.lexsort`` of the pair. The barycentric
+projection reduces the triples per source row with ``np.add.reduceat``.
 """
 
 from __future__ import annotations
@@ -120,23 +123,21 @@ class TransportPlan:
         return gamma
 
 
-def _monotone_merge(cu: np.ndarray, cv: np.ndarray):
-    """Cells of the monotone coupling between two sorted measures.
+def _monotone_levels(cu: np.ndarray, cv: np.ndarray) -> np.ndarray:
+    """Grid levels of the monotone coupling between two sorted measures.
 
     ``cu`` and ``cv`` are the cumulative masses of the sorted source and target
     weights. The coupling fills mass along the merged grid of both: every
     interval between consecutive grid levels belongs to exactly one source
     point and one target point, the first ones whose cumulative mass reaches
-    the interval's upper end. Returns (source ranks, target ranks, masses).
+    the interval's upper end. Returns the upper ends, ascending.
     """
     # A stable sort merges the two sorted runs in linear time (np.union1d takes
     # a much slower hash path on int64). Repeated levels and zero-mass points
     # add no interval, and past the smaller total (the larger can overshoot it
     # by float dust) nothing is left to couple.
     levels = np.sort(np.concatenate((cu, cv)), kind="stable")
-    levels = levels[(np.diff(levels, prepend=0) > 0) & (levels <= min(cu[-1], cv[-1]))]
-    take = np.diff(levels, prepend=0)
-    return np.searchsorted(cu, levels), np.searchsorted(cv, levels), take
+    return levels[(np.diff(levels, prepend=0) > 0) & (levels <= min(cu[-1], cv[-1]))]
 
 
 def solve_ot_1d(source: EmpiricalMeasure, target: EmpiricalMeasure) -> TransportPlan:
@@ -152,19 +153,24 @@ def solve_ot_1d(source: EmpiricalMeasure, target: EmpiricalMeasure) -> Transport
 
     if source.is_uniform and target.is_uniform:
         # Integer bookkeeping: a source point holds m units, a target point n
-        # units, one unit being 1/(n*m) of mass. Exact by construction.
-        p, q, units = _monotone_merge(
+        # units, one unit being 1/(n*m) of mass. Exact by construction. The
+        # first source point whose cumulative units reach a level L is the
+        # one numbered ceil(L / m), at rank (L - 1) // m.
+        levels = _monotone_levels(
             np.arange(1, n + 1, dtype=np.int64) * m, np.arange(1, m + 1, dtype=np.int64) * n
         )
-        mass = units * (1.0 / (n * m))
+        p, q = (levels - 1) // m, (levels - 1) // n
+        mass = np.diff(levels, prepend=0) * (1.0 / (n * m))
     else:
-        p, q, mass = _monotone_merge(
-            np.cumsum(source.weights[src_order]), np.cumsum(target.weights[tgt_order])
-        )
+        cu, cv = np.cumsum(source.weights[src_order]), np.cumsum(target.weights[tgt_order])
+        levels = _monotone_levels(cu, cv)
+        p, q = np.searchsorted(cu, levels), np.searchsorted(cv, levels)
+        mass = np.diff(levels, prepend=0)
 
     src_idx = src_order[p]
     tgt_idx = tgt_order[q]
-    order = np.lexsort((tgt_idx, src_idx))
+    # every (source, target) pair occurs once, so any sort gives one order
+    order = np.argsort(src_idx * m + tgt_idx)
     return TransportPlan(
         source_idx=src_idx[order],
         target_idx=tgt_idx[order],
@@ -185,9 +191,10 @@ def plan_cost(plan: TransportPlan, source_support, target_support) -> float:
 def barycentric_projection(plan: TransportPlan, target_support) -> np.ndarray:
     """Map each source point to the mass-weighted mean of its coupled targets.
 
-    The triples are sorted by (source, target), so each source row is one
-    contiguous run; ``np.add.reduceat`` over the runs gives every row's
-    coupled mass and mass-weighted target sum at once, and
+    The triples are sorted stably by (source, target), so each source row is
+    one contiguous run and repeated pairs keep their plan order;
+    ``np.add.reduceat`` over the runs gives every row's coupled mass and
+    mass-weighted target sum at once, and
     ``np.minimum.reduceat``/``np.maximum.reduceat`` its coupled hull. Rows
     with a single coupled target return that target value exactly; rows with
     several are clamped to the range of their own targets so the output never
@@ -198,7 +205,7 @@ def barycentric_projection(plan: TransportPlan, target_support) -> np.ndarray:
         raise ValueError(
             f"target support has {len(zt)} points but plan expects {plan.target_n}"
         )
-    order = np.lexsort((plan.target_idx, plan.source_idx))
+    order = np.argsort(plan.source_idx * plan.target_n + plan.target_idx, kind="stable")
     src = plan.source_idx[order]
     vals = zt[plan.target_idx[order]]
     mass = plan.masses[order]

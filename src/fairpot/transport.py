@@ -149,8 +149,10 @@ def build_score_map(original_train, transported_train) -> ScoreMap:
         raise ValueError("original and transported score vectors must align")
     order = np.argsort(x, kind="stable")
     xs, ys = x[order], y[order]
-    ux, start, counts = np.unique(xs, return_index=True, return_counts=True)
-    return ScoreMap(knots_x=ux, knots_y=np.add.reduceat(ys, start) / counts)
+    # each tie group is one run of the sorted pairs, in their stable order
+    start = np.flatnonzero(np.append(True, xs[1:] != xs[:-1]))
+    counts = np.diff(start, append=len(xs))
+    return ScoreMap(knots_x=xs[start], knots_y=np.add.reduceat(ys, start) / counts)
 
 
 def apply_psi(score_map: ScoreMap, scores_b_test) -> np.ndarray:

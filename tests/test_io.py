@@ -22,6 +22,8 @@ from fairpot.io import (
     write_sweep_results,
     write_sweep_summary,
 )
+from fairpot.io import _canonical_decimals
+from fairpot.metrics import ScoreSet
 from fairpot.svg import render_tradeoff_svg
 import oracles
 
@@ -162,7 +164,9 @@ def test_header_only_score_file_is_empty(tmp_path, body):
 _clean_rows = st.lists(
     st.tuples(
         st.integers(0, 999).map(str),
-        st.floats(0.0, 1.0).flatmap(lambda x: st.sampled_from([format(x, ".10g"), repr(x)])),
+        st.floats(0.0, 1.0).flatmap(
+            lambda x: st.sampled_from([format(x, f) for f in (".10g", ".15g", ".17g")] + [repr(x)])
+        ),
         st.sampled_from(["0", "1"]),
         st.sampled_from(["a", "b"]),
     ).map(list),
@@ -174,6 +178,8 @@ QUIRKS = (
         "0.5", " 0.25", "0.75 ", "+0.5", "0_5", "1_0", "5e-1", "1E0", "1e-400", ".5", "1.",
         "-0", "-0.0", "nan", "-nan", "inf", "Infinity", "1.5", "-1e-9", "abc", "", "0x1",
         '"0.5"', "\t0.5", "\x1c0.5", "0.5\x00", "0.1234567890123456789",
+        "0.", "0.0", "00.5", "0.123456789012345", "0.1234567890123456", "0.9999999999999999",
+        "1.234567891e-05", "0.5e-1", "0.2_5", "0.1_23456789", "0.5:", "0.5.5",
     ],
     [" 1", "2", "", '"0"', "01"],
     ["c", "A", " a", "", '"b"', "ab"],
@@ -212,6 +218,15 @@ def score_file_bytes(draw):
     return data
 
 
+@pytest.mark.parametrize("score", QUIRKS[1])
+def test_score_quirk_equals_row_loop(tmp_path, score):
+    """Each score quirk, in a file that is plain but for it, gives the row
+    reader's records or its error."""
+    path = tmp_path / "scores.csv"
+    path.write_bytes(f"{HEADER}\nr0,0.5,1,a\nrecord1,{score},0,b\nr2,0.25,1,b\n".encode())
+    assert _read(read_score_file, path) == _read(oracles.loop_read_score_file, path)
+
+
 def test_field_over_the_csv_limit(tmp_path):
     path = tmp_path / "scores.csv"
     path.write_text(f"{HEADER}\nr0,0.5,1,a\n{'r' * (csv.field_size_limit() + 1)},0.5,1,a\n")
@@ -223,16 +238,44 @@ def test_plain_files_are_parsed_in_bulk(tmp_path, monkeypatch):
     rng = np.random.default_rng(53)
     s = oracles.random_score_set(rng, 300, score_pool=np.round(rng.random(40), 10))
     lf, crlf, long_ids = tmp_path / "lf.csv", tmp_path / "crlf.csv", tmp_path / "long.csv"
+    no_end = tmp_path / "no_end.csv"
     write_score_file(s, crlf)  # csv writes CRLF line ends
     lf.write_bytes(crlf.read_bytes().replace(b"\r\n", b"\n"))
     long_ids.write_bytes(lf.read_bytes().replace(b"\nr", b"\nrecord-"))
-    expected = [_read(oracles.loop_read_score_file, p) for p in (lf, crlf, long_ids)]
+    no_end.write_bytes(crlf.read_bytes().removesuffix(b"\r\n"))
+    files = (lf, crlf, long_ids, no_end)
+    expected = [_read(oracles.loop_read_score_file, p) for p in files]
 
     def row_reader(path):
         raise AssertionError(f"{path} was read row by row")
 
     monkeypatch.setattr("fairpot.io._read_score_rows", row_reader)
-    assert [_read(read_score_file, p) for p in (lf, crlf, long_ids)] == expected
+    assert [_read(read_score_file, p) for p in files] == expected
+
+
+def test_written_scores_are_converted_in_bulk(tmp_path):
+    """``write_score_file`` prints a score in [1e-4, 1) as "0." and 1 to 13
+    digits, the form whose fields are converted without ``float()``; those
+    values are ``float()``'s bit for bit."""
+    rng = np.random.default_rng(54)
+    n = 20_000
+    short = [np.round(rng.random(100), d) for d in range(1, 11)]  # 1 to 10 digits
+    scores = np.concatenate((rng.random(n // 2), 10.0 ** rng.uniform(-4, 0, n // 2 - 1000), *short))
+    s = ScoreSet(
+        scores=np.clip(scores, 1e-4, 0.9999),
+        labels=rng.integers(0, 2, size=n),
+        groups=np.where(rng.random(n) < 0.5, "a", "b"),
+    )
+    path = tmp_path / "scores.csv"
+    write_score_file(s, path)
+    data = path.read_bytes()
+    commas = np.flatnonzero(np.frombuffer(data, dtype=np.uint8) == ord(","))[3:].reshape(-1, 3)
+    values, bulk = _canonical_decimals(data, commas[:, 0] + 1, commas[:, 1])
+    assert bulk.all()
+    assert set(commas[:, 1] - commas[:, 0] - 3) == set(range(1, 14))  # digits after "0."
+    expected = oracles.loop_read_score_file(path).scores
+    assert values.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+    assert _read(read_score_file, path) == _read(oracles.loop_read_score_file, path)
 
 
 def _read(read, path):

@@ -56,6 +56,12 @@ class TestScoreSet:
         assert derived[1].labels is s.labels and derived[1].groups is s.groups
         assert list(derived[1].scores) == [0.2, 0.1, 0.5]
 
+    def test_with_scores_shares_cells_once_computed(self):
+        s = make_set([0.2, 0.9, 0.5], [1, 0, 1], ["a", "b", "a"])
+        assert "cells" not in s.with_scores(np.array([0.1, 0.2, 0.3])).__dict__
+        cells = s.cells
+        assert s.with_scores(np.array([0.1, 0.2, 0.3])).cells is cells
+
     def test_subset_rejects_2d_indices(self):
         s = make_set([0.2, 0.9, 0.5], [1, 0, 1], ["a", "b", "a"])
         with pytest.raises(ValueError):

@@ -30,6 +30,7 @@ from fairpot.metrics import (
 )
 from fairpot.ot import (
     EmpiricalMeasure,
+    TransportPlan,
     barycentric_projection,
     plan_cost,
     solve_ot_1d,
@@ -118,6 +119,75 @@ def test_score_map_matches_tie_merge(pairs):
 def test_w1_matches_scipy(p, q):
     expected = wasserstein_distance(p.support, q.support, p.weights, q.weights)
     assert abs(wasserstein1_distance(p, q) - expected) <= 1e-12
+
+
+def permuted(plan, order) -> TransportPlan:
+    """``plan`` with its triples taken in ``order``."""
+    return TransportPlan(
+        source_idx=plan.source_idx[order],
+        target_idx=plan.target_idx[order],
+        masses=plan.masses[order],
+        source_weights=plan.source_weights,
+        target_weights=plan.target_weights,
+    )
+
+
+def test_projection_ignores_the_order_of_the_triples():
+    rng = np.random.default_rng(60)
+    zs, zt = np.round(rng.random(300), 2), np.round(rng.random(200), 2)
+    solved = solve_ot_1d(EmpiricalMeasure.uniform(zs), EmpiricalMeasure.uniform(zt))
+    expected = bits(barycentric_projection(solved, zt))
+    for _ in range(3):
+        shuffled = permuted(solved, rng.permutation(len(solved.masses)))
+        assert np.array_equal(bits(barycentric_projection(shuffled, zt)), expected)
+    # A hand-built plan: each triple of the solved plan split into two to
+    # four, so every row repeats (source, target) pairs. Summed in another
+    # order, a repeated pair's masses can round differently; the projection
+    # takes them in plan order, as a two-key lexsort does.
+    pieces = rng.integers(2, 5, size=len(solved.masses))
+    shares = rng.random(pieces.sum()) + 0.5
+    sums = np.add.reduceat(shares, np.cumsum(pieces) - pieces)
+    hand = TransportPlan(
+        source_idx=np.repeat(solved.source_idx, pieces),
+        target_idx=np.repeat(solved.target_idx, pieces),
+        masses=np.repeat(solved.masses / sums, pieces) * shares,
+        source_weights=solved.source_weights,
+        target_weights=solved.target_weights,
+    )
+    for _ in range(3):
+        shuffled = permuted(hand, rng.permutation(len(hand.masses)))
+        by_pair = np.lexsort((shuffled.target_idx, shuffled.source_idx))
+        assert np.array_equal(
+            bits(barycentric_projection(shuffled, zt)),
+            bits(barycentric_projection(permuted(shuffled, by_pair), zt)),
+        )
+
+
+@pytest.mark.parametrize("n, m", [(1000, 3000), (10, 5000), (5000, 7)])
+def test_uniform_plan_equals_cell_walk_on_unequal_shapes(n, m):
+    rng = np.random.default_rng(n + m)
+    zs, zt = rng.integers(0, 50, size=n) / 50, rng.integers(0, 50, size=m) / 50  # ties
+    plan = solve_ot_1d(EmpiricalMeasure.uniform(zs), EmpiricalMeasure.uniform(zt))
+    src, tgt, mass = oracles.loop_uniform_plan(zs, zt)
+    assert np.array_equal(plan.source_idx, src)
+    assert np.array_equal(plan.target_idx, tgt)
+    assert np.array_equal(bits(plan.masses), bits(mass))
+
+
+def test_score_map_ignores_the_order_of_the_pairs():
+    # Transported scores in 1/1024 steps sum exactly in any order, so every
+    # tie group's mean is one value however its pairs are ordered.
+    rng = np.random.default_rng(62)
+    x = rng.integers(0, 40, size=500) / 40
+    y = rng.integers(0, 1025, size=500) / 1024
+    by_x = np.argsort(x, kind="stable")
+    expected = build_score_map(x[by_x], y[by_x])
+    assert len(expected) == 40
+    for _ in range(3):
+        order = rng.permutation(len(x))
+        score_map = build_score_map(x[order], y[order])
+        assert np.array_equal(bits(score_map.knots_x), bits(expected.knots_x))
+        assert np.array_equal(bits(score_map.knots_y), bits(expected.knots_y))
 
 
 def labeled_set(scores, labels, groups):

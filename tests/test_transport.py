@@ -1,5 +1,7 @@
 """Tests for partial transport, the interpolation map, and the sweep."""
 
+from functools import cached_property
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from fairpot.transport import (
     apply_phi,
     apply_psi,
     build_score_map,
+    fit_and_map,
     fit_transport,
     sweep,
 )
@@ -261,6 +264,25 @@ class TestSweep:
         train, test = random_split_sets(910)
         with pytest.raises(ValueError):
             sweep(train, test, [0.0], mode="partial")
+
+
+@pytest.mark.parametrize("mode", ["global", "partial"])
+@pytest.mark.parametrize("drawn", [False, True])
+def test_cells_are_taken_once_per_evaluation(monkeypatch, mode, drawn):
+    """Mapping holds no cells; evaluating every lambda takes the evaluated
+    records' cells once."""
+    train, test = random_split_sets(903)
+    mapped = fit_and_map(train, test, [0.0, 0.3, 0.6, 1.0], mode, 0.5)
+    assert all("cells" not in s.__dict__ for _, s in mapped)
+    draw = np.random.default_rng(904).integers(0, len(test), size=len(test)) if drawn else None
+    region = metrics.select_region(test, mode, 0.5, draw)
+    taken = []
+    cells = metrics.ScoreSet.cells.func
+    counted = cached_property(lambda s: taken.append(len(s)) or cells(s))
+    counted.__set_name__(metrics.ScoreSet, "cells")
+    monkeypatch.setattr(metrics.ScoreSet, "cells", counted)
+    metrics.evaluate_region(test, region, mapped, mode)
+    assert len(taken) == 1
 
 
 def reference_sweep(train, test, lambdas, mode, alpha, direction):
