@@ -29,7 +29,6 @@ from .metrics import (
     xauc_disparity,
 )
 from .ot import (
-    EmpiricalMeasure,
     TransportPlan,
     barycentric_projection,
     plan_cost,
@@ -52,7 +51,6 @@ __version__ = "0.1.0"
 __all__ = [
     "GROUP_A",
     "GROUP_B",
-    "EmpiricalMeasure",
     "LogisticScorer",
     "PartialTransportResult",
     "PostLogitParams",

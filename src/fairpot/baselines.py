@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import sigmoid
-from .metrics import GROUP_A, GROUP_B, ScoreSet, count_pairs_above, require_both_groups
+from .metrics import GROUP_A, GROUP_B, PairCounts, ScoreSet, count_pairs_above, require_both_groups
 
 # Fixed defaults so runs are reproducible: offset pinned at zero, scale
 # searched over 50 log-spaced values in [0.1, 10].
@@ -46,9 +46,9 @@ def fit_post_logit(
 
     Group a never changes, so its positives and negatives are sorted once;
     group b's are sorted once before any rescaling, and each scale maps them,
-    sorts the mapped negatives and counts strict pairs with sorted queries. The
-    integer counts and the one division per xAUC (0.0 for an empty class) are
-    those of ``xauc_disparity`` on the rescaled set.
+    sorts the mapped negatives and counts the two cross-group strict pair
+    counts with sorted queries. ``PairCounts.xauc_disparity`` turns them into
+    the disparity, as ``xauc_disparity`` does on the rescaled set.
     """
     grid = tuple(float(g) for g in grid)
     if not grid:
@@ -59,8 +59,8 @@ def fit_post_logit(
         np.sort(train.scores[train.cells[label, group]])
         for label, group in ((1, GROUP_A), (0, GROUP_A), (1, GROUP_B), (0, GROUP_B))
     )
-    a_to_b_pairs = len(a_pos) * len(b_neg)
-    b_to_a_pairs = len(b_pos) * len(a_neg)
+    n_pos = {GROUP_A: len(a_pos), GROUP_B: len(b_pos)}
+    n_neg = {GROUP_A: len(a_neg), GROUP_B: len(b_neg)}
     best_scale = None
     best_disparity = np.inf
     for scale in sorted(grid):
@@ -73,26 +73,15 @@ def fit_post_logit(
         # (a rounding slip would only slow the search); the negatives are the
         # searched side, so they are sorted again in case rounding broke it.
         new_neg = np.sort(new_neg)
-        xauc_a_to_b = xauc_b_to_a = 0.0
-        if a_to_b_pairs:
-            xauc_a_to_b = count_pairs_above(a_pos, new_neg) / a_to_b_pairs
-        if b_to_a_pairs:
-            xauc_b_to_a = count_pairs_above(new_pos, a_neg) / b_to_a_pairs
-        disparity = abs(xauc_a_to_b - xauc_b_to_a)
+        above = {
+            (GROUP_A, GROUP_B): count_pairs_above(a_pos, new_neg),
+            (GROUP_B, GROUP_A): count_pairs_above(new_pos, a_neg),
+        }
+        disparity = PairCounts(above, n_pos, n_neg).xauc_disparity()
         if disparity < best_disparity:
             best_disparity = disparity
             best_scale = scale
     return PostLogitParams(scale=best_scale, offset=offset, grid=grid)
-
-
-def _quantile_levels(sorted_scores: np.ndarray) -> np.ndarray:
-    # level of each distinct value = last order-statistic position / (n - 1)
-    n = len(sorted_scores)
-    if n == 1:
-        return np.array([0.5])
-    _, last = np.unique(sorted_scores[::-1], return_index=True)
-    last_pos = n - 1 - last
-    return last_pos / (n - 1)
 
 
 def _group_quantile_maps(train_scores: np.ndarray):
@@ -100,9 +89,15 @@ def _group_quantile_maps(train_scores: np.ndarray):
     maps with linear interpolation between order statistics."""
     s = np.sort(train_scores)
     n = len(s)
-    uniq = np.unique(s)
-    levels_of_uniq = _quantile_levels(s)
-    grid_levels = np.linspace(0.0, 1.0, n) if n > 1 else np.array([0.5])
+    # each distinct value is one run of the sorted scores; its level is the
+    # run's last order-statistic position / (n - 1)
+    first = np.flatnonzero(np.append(True, s[1:] != s[:-1]))
+    uniq = s[first]
+    if n > 1:
+        levels_of_uniq = np.append(first[1:] - 1, n - 1) / (n - 1)
+        grid_levels = np.linspace(0.0, 1.0, n)
+    else:
+        levels_of_uniq = grid_levels = np.array([0.5])
 
     def score_to_level(x):
         return np.interp(x, uniq, levels_of_uniq)

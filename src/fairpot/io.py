@@ -226,6 +226,24 @@ def _eight_digits(words: np.ndarray, n: np.ndarray):
     return x, (wrong & keep) == 0
 
 
+def _csv_rows(path: Path, header: list[str]):
+    """``(line number, fields)`` of each non-blank row of a csv file after its
+    header; raises ``ScoreFileError`` for a header other than ``header`` and
+    for a row with another number of fields."""
+    with path.open("r", newline="") as fh:
+        reader = csv.reader(fh)
+        if next(reader, None) != header:
+            raise ScoreFileError(f"{path}:1: expected header {','.join(header)}")
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise ScoreFileError(
+                    f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
+                )
+            yield lineno, row
+
+
 def _read_score_rows(path: Path) -> ScoreSet:
     """Records of a score file read one ``csv`` row at a time; raises
     ``ScoreFileError`` naming the line of the first bad row."""
@@ -233,33 +251,23 @@ def _read_score_rows(path: Path) -> ScoreSet:
     labels: list[int] = []
     groups: list[str] = []
     seen_ids: set[str] = set()
-    with path.open("r", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != SCORE_HEADER:
-            raise ScoreFileError(f"{path}:1: expected header {','.join(SCORE_HEADER)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise ScoreFileError(f"{path}:{lineno}: expected 4 fields, got {len(row)}")
-            rid, score_s, label_s, group = row
-            if rid in seen_ids:
-                raise ScoreFileError(f"{path}:{lineno}: duplicate id {rid!r}")
-            seen_ids.add(rid)
-            try:
-                score = float(score_s)
-            except ValueError:
-                raise ScoreFileError(f"{path}:{lineno}: unparseable score {score_s!r}") from None
-            if not math.isfinite(score) or not 0.0 <= score <= 1.0:
-                raise ScoreFileError(f"{path}:{lineno}: score {score_s} outside [0, 1]")
-            if label_s not in ("0", "1"):
-                raise ScoreFileError(f"{path}:{lineno}: label must be 0 or 1, got {label_s!r}")
-            if group not in GROUPS:
-                raise ScoreFileError(f"{path}:{lineno}: group must be one of {GROUPS}, got {group!r}")
-            scores.append(score)
-            labels.append(int(label_s))
-            groups.append(group)
+    for lineno, (rid, score_s, label_s, group) in _csv_rows(path, SCORE_HEADER):
+        if rid in seen_ids:
+            raise ScoreFileError(f"{path}:{lineno}: duplicate id {rid!r}")
+        seen_ids.add(rid)
+        try:
+            score = float(score_s)
+        except ValueError:
+            raise ScoreFileError(f"{path}:{lineno}: unparseable score {score_s!r}") from None
+        if not math.isfinite(score) or not 0.0 <= score <= 1.0:
+            raise ScoreFileError(f"{path}:{lineno}: score {score_s} outside [0, 1]")
+        if label_s not in ("0", "1"):
+            raise ScoreFileError(f"{path}:{lineno}: label must be 0 or 1, got {label_s!r}")
+        if group not in GROUPS:
+            raise ScoreFileError(f"{path}:{lineno}: group must be one of {GROUPS}, got {group!r}")
+        scores.append(score)
+        labels.append(int(label_s))
+        groups.append(group)
     return ScoreSet(
         scores=np.array(scores, dtype=float),
         labels=np.array(labels, dtype=np.int64),
@@ -338,30 +346,21 @@ def write_sweep_summary(rows: list[SweepRow], path) -> None:
 def read_sweep_results(path) -> list[SweepRow]:
     path = Path(path)
     rows: list[SweepRow] = []
-    with path.open("r", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != SWEEP_HEADER:
-            raise ScoreFileError(f"{path}:1: expected header {','.join(SWEEP_HEADER)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 7:
-                raise ScoreFileError(f"{path}:{lineno}: expected 7 fields, got {len(row)}")
-            try:
-                rows.append(
-                    SweepRow(
-                        method=row[0],
-                        lam=float(row[1]),
-                        alpha=float(row[2]),
-                        replicate=int(row[3]),
-                        accuracy=float(row[4]),
-                        disparity=float(row[5]),
-                        on_frontier={"true": True, "false": False}[row[6]],
-                    )
+    for lineno, row in _csv_rows(path, SWEEP_HEADER):
+        try:
+            rows.append(
+                SweepRow(
+                    method=row[0],
+                    lam=float(row[1]),
+                    alpha=float(row[2]),
+                    replicate=int(row[3]),
+                    accuracy=float(row[4]),
+                    disparity=float(row[5]),
+                    on_frontier={"true": True, "false": False}[row[6]],
                 )
-            except (ValueError, KeyError):
-                raise ScoreFileError(f"{path}:{lineno}: unparseable row {row!r}") from None
+            )
+        except (ValueError, KeyError):
+            raise ScoreFileError(f"{path}:{lineno}: unparseable row {row!r}") from None
     return rows
 
 

@@ -1,20 +1,18 @@
-"""Exact optimal transport between 1D empirical distributions.
+"""Exact optimal transport between 1D empirical score clouds.
 
-On the line, the monotone coupling -- sort both supports and match their
-quantile functions -- solves the coupling LP for every convex cost, including
-squared distance and |x - y| (Peyre & Cuturi, *Computational Optimal
-Transport*, Sec. 2.6), so no general-purpose solver is needed. The coupling is
-computed without a loop: the cumulative masses (``np.cumsum``) of both sorted
-measures are merged into one grid of distinct levels, and each grid interval
-is assigned to the source and target point whose cumulative mass first
-reaches its upper end (``np.searchsorted``). For uniform measures the grid is kept in integer units
-of 1/(n*m), so plan masses are exact and the point that holds a level is
-found by integer division. Plans are stored as sparse (source, target, mass)
-triples; a monotone plan has at most n + m - 1 of them. Triples are put in
-(source, target) order by sorting the one int64 key
-``source * target_n + target``, which orders as the pair does and sorts in a
-fraction of the time of a two-key ``np.lexsort`` of the pair. The barycentric
-projection reduces the triples per source row with ``np.add.reduceat``.
+Each cloud is a 1-D array of finite scores, every point of mass 1/n (a point
+repeated k times carries k/n). On the line, the monotone coupling -- sort both
+supports and match their quantile functions -- solves the coupling LP for
+every convex cost, including squared distance and |x - y| (Peyre & Cuturi,
+*Computational Optimal Transport*, Sec. 2.6), so no general-purpose solver is
+needed. The coupling is computed without a loop in integer units of 1/(n*m),
+so plan masses are exact and the point that holds a grid level is found by
+integer division. Plans are stored as sparse (source, target, mass) triples;
+a monotone plan has at most n + m - 1 of them. Triples are put in (source,
+target) order by sorting the one int64 key ``source * target_n + target``,
+which orders as the pair does and sorts in a fraction of the time of a
+two-key ``np.lexsort`` of the pair. The barycentric projection reduces the
+triples per source row with ``np.add.reduceat``.
 """
 
 from __future__ import annotations
@@ -26,95 +24,52 @@ import numpy as np
 _MARGINAL_TOL = 1e-10
 
 
-@dataclass(frozen=True, eq=False)
-class EmpiricalMeasure:
-    """Weighted point masses on the real line."""
-
-    support: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self) -> None:
-        support = np.asarray(self.support, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
-        if support.ndim != 1 or weights.ndim != 1:
-            raise ValueError("support and weights must be 1-dimensional")
-        if len(support) == 0:
-            raise ValueError("empirical measure needs at least one support point")
-        if len(support) != len(weights):
-            raise ValueError("support and weights must have equal length")
-        if not np.all(np.isfinite(support)):
-            raise ValueError("support points must be finite")
-        if np.any(weights < 0):
-            raise ValueError("weights must be non-negative")
-        if abs(weights.sum() - 1.0) > 1e-12:
-            raise ValueError(f"weights must sum to 1, got {weights.sum()!r}")
-        support.setflags(write=False)
-        weights.setflags(write=False)
-        object.__setattr__(self, "support", support)
-        object.__setattr__(self, "weights", weights)
-
-    @classmethod
-    def uniform(cls, values) -> "EmpiricalMeasure":
-        values = np.asarray(values, dtype=float)
-        if values.size == 0:
-            raise ValueError("empirical measure needs at least one support point")
-        return cls(support=values, weights=np.full(len(values), 1.0 / len(values)))
-
-    def __len__(self) -> int:
-        return len(self.support)
-
-    @property
-    def is_uniform(self) -> bool:
-        return bool(np.all(self.weights == self.weights[0]))
+def _support(values, name: str) -> np.ndarray:
+    support = np.asarray(values, dtype=float)
+    if support.ndim != 1:
+        raise ValueError(f"{name} support must be 1-dimensional")
+    if len(support) == 0:
+        raise ValueError(f"{name} support needs at least one point")
+    if not np.all(np.isfinite(support)):
+        raise ValueError(f"{name} support points must be finite")
+    return support
 
 
 @dataclass(frozen=True, eq=False)
 class TransportPlan:
-    """Sparse coupling with source rows and target columns.
+    """Sparse coupling of ``source_n`` source rows and ``target_n`` target
+    columns, each point carrying mass 1/n of its side.
 
-    Marginal feasibility is checked at construction: row sums must match the
-    source weights and column sums the target weights within 1e-10.
+    Marginal feasibility is checked at construction: row sums must equal
+    1/source_n and column sums 1/target_n within 1e-10.
     """
 
     source_idx: np.ndarray
     target_idx: np.ndarray
     masses: np.ndarray
-    source_weights: np.ndarray
-    target_weights: np.ndarray
+    source_n: int
+    target_n: int
 
     def __post_init__(self) -> None:
         src = np.asarray(self.source_idx, dtype=np.int64)
         tgt = np.asarray(self.target_idx, dtype=np.int64)
         mass = np.asarray(self.masses, dtype=float)
-        sw = np.asarray(self.source_weights, dtype=float)
-        tw = np.asarray(self.target_weights, dtype=float)
+        n, m = self.source_n, self.target_n
+        if n < 1 or m < 1:
+            raise ValueError("a plan needs at least one source and one target point")
         if not (len(src) == len(tgt) == len(mass)):
             raise ValueError("triple arrays must have equal length")
         if np.any(mass < 0):
             raise ValueError("plan masses must be non-negative")
-        row_sums = np.bincount(src, weights=mass, minlength=len(sw))
-        col_sums = np.bincount(tgt, weights=mass, minlength=len(tw))
-        if np.max(np.abs(row_sums - sw)) > _MARGINAL_TOL:
-            raise ValueError("plan row sums do not match source weights")
-        if np.max(np.abs(col_sums - tw)) > _MARGINAL_TOL:
-            raise ValueError("plan column sums do not match target weights")
-        for name, arr in (
-            ("source_idx", src),
-            ("target_idx", tgt),
-            ("masses", mass),
-            ("source_weights", sw),
-            ("target_weights", tw),
-        ):
+        row_sums = np.bincount(src, weights=mass, minlength=n)
+        col_sums = np.bincount(tgt, weights=mass, minlength=m)
+        if np.max(np.abs(row_sums - 1.0 / n)) > _MARGINAL_TOL:
+            raise ValueError("plan row sums do not match 1/source_n")
+        if np.max(np.abs(col_sums - 1.0 / m)) > _MARGINAL_TOL:
+            raise ValueError("plan column sums do not match 1/target_n")
+        for name, arr in (("source_idx", src), ("target_idx", tgt), ("masses", mass)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-
-    @property
-    def source_n(self) -> int:
-        return len(self.source_weights)
-
-    @property
-    def target_n(self) -> int:
-        return len(self.target_weights)
 
     def to_dense(self) -> np.ndarray:
         """Materialize the coupling matrix, source rows by target columns."""
@@ -123,60 +78,48 @@ class TransportPlan:
         return gamma
 
 
-def _monotone_levels(cu: np.ndarray, cv: np.ndarray) -> np.ndarray:
-    """Grid levels of the monotone coupling between two sorted measures.
-
-    ``cu`` and ``cv`` are the cumulative masses of the sorted source and target
-    weights. The coupling fills mass along the merged grid of both: every
-    interval between consecutive grid levels belongs to exactly one source
-    point and one target point, the first ones whose cumulative mass reaches
-    the interval's upper end. Returns the upper ends, ascending.
+def _monotone_levels(n: int, m: int) -> np.ndarray:
+    """Grid levels of the monotone coupling of ``n`` sorted source points onto
+    ``m`` sorted target points, in integer units of 1/(n*m): a source point
+    holds m units and a target point n. Every interval between consecutive
+    grid levels belongs to exactly one source point and one target point, the
+    first ones whose cumulative units reach the interval's upper end. Returns
+    the upper ends, ascending.
     """
-    # A stable sort merges the two sorted runs in linear time (np.union1d takes
-    # a much slower hash path on int64). Repeated levels and zero-mass points
-    # add no interval, and past the smaller total (the larger can overshoot it
-    # by float dust) nothing is left to couple.
+    # A stable sort merges the two sorted runs of cumulative units in linear
+    # time (np.union1d takes a much slower hash path on int64); a level both
+    # runs share adds no interval.
+    cu, cv = np.arange(1, n + 1, dtype=np.int64) * m, np.arange(1, m + 1, dtype=np.int64) * n
     levels = np.sort(np.concatenate((cu, cv)), kind="stable")
-    return levels[(np.diff(levels, prepend=0) > 0) & (levels <= min(cu[-1], cv[-1]))]
+    return levels[np.diff(levels, prepend=0) > 0]
 
 
-def solve_ot_1d(source: EmpiricalMeasure, target: EmpiricalMeasure) -> TransportPlan:
-    """Cost-minimizing coupling for squared-distance cost on the line.
+def solve_ot_1d(source_support, target_support) -> TransportPlan:
+    """Cost-minimizing coupling of two score clouds, each point of mass 1/n,
+    for squared-distance cost on the line.
 
     Both supports are sorted ascending, mass is matched monotonically, and the
-    resulting triples are mapped back to the original index order. For uniform
-    weights the masses are exact multiples of 1/(n*m).
+    resulting triples are mapped back to the original index order. The masses
+    are exact multiples of 1/(n*m).
     """
-    n, m = len(source), len(target)
-    src_order = np.argsort(source.support, kind="stable")
-    tgt_order = np.argsort(target.support, kind="stable")
-
-    if source.is_uniform and target.is_uniform:
-        # Integer bookkeeping: a source point holds m units, a target point n
-        # units, one unit being 1/(n*m) of mass. Exact by construction. The
-        # first source point whose cumulative units reach a level L is the
-        # one numbered ceil(L / m), at rank (L - 1) // m.
-        levels = _monotone_levels(
-            np.arange(1, n + 1, dtype=np.int64) * m, np.arange(1, m + 1, dtype=np.int64) * n
-        )
-        p, q = (levels - 1) // m, (levels - 1) // n
-        mass = np.diff(levels, prepend=0) * (1.0 / (n * m))
-    else:
-        cu, cv = np.cumsum(source.weights[src_order]), np.cumsum(target.weights[tgt_order])
-        levels = _monotone_levels(cu, cv)
-        p, q = np.searchsorted(cu, levels), np.searchsorted(cv, levels)
-        mass = np.diff(levels, prepend=0)
-
-    src_idx = src_order[p]
-    tgt_idx = tgt_order[q]
+    zs, zt = _support(source_support, "source"), _support(target_support, "target")
+    n, m = len(zs), len(zt)
+    src_order = np.argsort(zs, kind="stable")
+    tgt_order = np.argsort(zt, kind="stable")
+    # The first source point whose cumulative units reach a level L is the
+    # one numbered ceil(L / m), at rank (L - 1) // m; likewise for targets.
+    levels = _monotone_levels(n, m)
+    src_idx = src_order[(levels - 1) // m]
+    tgt_idx = tgt_order[(levels - 1) // n]
+    mass = np.diff(levels, prepend=0) * (1.0 / (n * m))
     # every (source, target) pair occurs once, so any sort gives one order
     order = np.argsort(src_idx * m + tgt_idx)
     return TransportPlan(
         source_idx=src_idx[order],
         target_idx=tgt_idx[order],
         masses=mass[order],
-        source_weights=source.weights,
-        target_weights=target.weights,
+        source_n=n,
+        target_n=m,
     )
 
 
@@ -223,9 +166,12 @@ def barycentric_projection(plan: TransportPlan, target_support) -> np.ndarray:
     return out
 
 
-def wasserstein1_distance(p: EmpiricalMeasure, q: EmpiricalMeasure) -> float:
-    """Exact W1 distance: the monotone coupling is optimal for |x - y| too,
-    so W1 is the mass-weighted gap between the quantile functions."""
-    plan = solve_ot_1d(p, q)
-    gap = np.abs(p.support[plan.source_idx] - q.support[plan.target_idx])
+def wasserstein1_distance(p_support, q_support) -> float:
+    """Exact W1 distance between two score clouds, each point of mass 1/n
+    (validated as the source and target of ``solve_ot_1d``): the monotone
+    coupling is optimal for |x - y| too, so W1 is the mass-weighted gap
+    between the quantile functions."""
+    plan = solve_ot_1d(p_support, q_support)
+    p, q = np.asarray(p_support, dtype=float), np.asarray(q_support, dtype=float)
+    gap = np.abs(p[plan.source_idx] - q[plan.target_idx])
     return float(np.sum(plan.masses * gap))

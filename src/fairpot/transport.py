@@ -21,7 +21,7 @@ import numpy as np
 from . import metrics
 from ._util import ceil_count
 from .metrics import GROUP_A, GROUP_B, ScoreSet, require_both_groups
-from .ot import EmpiricalMeasure, TransportPlan, barycentric_projection, solve_ot_1d
+from .ot import TransportPlan, barycentric_projection, solve_ot_1d
 from .pareto import TradeoffPoint
 
 Direction = Literal["b_to_a", "a_to_b"]
@@ -70,7 +70,9 @@ class ScoreMap:
             raise ValueError("score map needs at least one knot")
         if len(x) != len(y):
             raise ValueError("knot arrays must have equal length")
-        if len(x) > 1 and np.any(np.diff(x) <= 0):
+        if np.any(np.isnan(x)):
+            raise ValueError("knot x-values must not be nan")
+        if np.any(np.diff(x) <= 0):
             raise ValueError("knot x-values must be strictly increasing")
         x.setflags(write=False)
         y.setflags(write=False)
@@ -93,7 +95,7 @@ def fit_transport(scores_a_train, scores_b_train) -> TransportPlan:
         raise ValueError("group a has no training scores to transport onto")
     if len(b) == 0:
         raise ValueError("group b has no training scores to transport")
-    return solve_ot_1d(EmpiricalMeasure.uniform(b), EmpiricalMeasure.uniform(a))
+    return solve_ot_1d(b, a)
 
 
 def apply_phi(

@@ -87,16 +87,16 @@ def brute_pxauc_disparity(s: ScoreSet, member_indices) -> float:
     )
 
 
-def lp_transport(source_support, source_weights, target_support, target_weights):
-    """Solve the coupling LP exactly with a generic simplex solver.
+def lp_transport(source_support, target_support):
+    """Solve the coupling LP between two score clouds, each point of mass 1/n,
+    exactly with a generic simplex solver.
 
     Returns (optimal cost, dense plan). Intended for tiny instances only.
     """
     zs = np.asarray(source_support, dtype=float)
     zt = np.asarray(target_support, dtype=float)
-    u = np.asarray(source_weights, dtype=float)
-    v = np.asarray(target_weights, dtype=float)
     n, m = len(zs), len(zt)
+    u, v = np.full(n, 1.0 / n), np.full(m, 1.0 / m)
     cost = ((zs[:, None] - zt[None, :]) ** 2).reshape(-1)
 
     # equality constraints: row sums = u, column sums = v
@@ -204,6 +204,25 @@ def loop_fit_post_logit(
             best_disparity = disparity
             best_scale = scale
     return PostLogitParams(scale=best_scale, offset=offset, grid=grid)
+
+
+def unique_quantile_maps(train_scores):
+    """``baselines._group_quantile_maps`` with the distinct values taken by
+    ``np.unique`` and each one's last order-statistic position by
+    ``np.unique(return_index=True)`` on the reversed sorted scores."""
+    s = np.sort(train_scores)
+    n = len(s)
+    uniq = np.unique(s)
+    if n == 1:
+        levels_of_uniq = grid_levels = np.array([0.5])
+    else:
+        _, last = np.unique(s[::-1], return_index=True)
+        levels_of_uniq = (n - 1 - last) / (n - 1)
+        grid_levels = np.linspace(0.0, 1.0, n)
+    return (
+        lambda x: np.interp(x, uniq, levels_of_uniq),
+        lambda t: np.interp(t, grid_levels, s),
+    )
 
 
 def masked_sigmoid(x):

@@ -11,12 +11,7 @@ from fairpot.cli import _synthetic_scored_split, main
 from fairpot.datagen import SyntheticConfig, generate_synthetic
 from fairpot.io import DEFAULT_LAMBDAS, ExperimentConfig
 from fairpot.metrics import auc, pauc, pxauc_disparity, top_alpha_region, xauc, xauc_disparity
-from fairpot.ot import (
-    EmpiricalMeasure,
-    plan_cost,
-    solve_ot_1d,
-    wasserstein1_distance,
-)
+from fairpot.ot import plan_cost, solve_ot_1d, wasserstein1_distance
 from fairpot.pareto import TradeoffPoint, pareto_frontier
 from fairpot.transport import apply_phi, apply_psi, build_score_map, fit_transport, sweep
 
@@ -71,14 +66,13 @@ def test_criterion_02_ot_matches_lp_oracle():
     ok = True
     for _ in range(200):
         n, m = int(rng.integers(1, 13)), int(rng.integers(1, 13))
-        src = EmpiricalMeasure.uniform(rng.random(n))
-        tgt = EmpiricalMeasure.uniform(rng.random(m))
+        src, tgt = rng.random(n), rng.random(m)
         plan = solve_ot_1d(src, tgt)
-        lp_cost, _ = oracles.lp_transport(src.support, src.weights, tgt.support, tgt.weights)
-        ok &= abs(plan_cost(plan, src.support, tgt.support) - lp_cost) <= 1e-9
+        lp_cost, _ = oracles.lp_transport(src, tgt)
+        ok &= abs(plan_cost(plan, src, tgt) - lp_cost) <= 1e-9
         dense = plan.to_dense()
-        ok &= float(np.max(np.abs(dense.sum(axis=1) - src.weights))) <= 1e-10
-        ok &= float(np.max(np.abs(dense.sum(axis=0) - tgt.weights))) <= 1e-10
+        ok &= float(np.max(np.abs(dense.sum(axis=1) - 1 / n))) <= 1e-10
+        ok &= float(np.max(np.abs(dense.sum(axis=0) - 1 / m))) <= 1e-10
         if not ok:
             break
     report(2, "monotone OT equals exact-LP optimum on 200 instances", ok)
@@ -197,16 +191,10 @@ def test_criterion_09_baseline_contracts(synthetic_splits):
     for train, test in synthetic_splits:
         aligned = wasserstein_fair(train, test)
         pre_gaps.append(
-            wasserstein1_distance(
-                EmpiricalMeasure.uniform(test.group_scores("a")),
-                EmpiricalMeasure.uniform(test.group_scores("b")),
-            )
+            wasserstein1_distance(test.group_scores("a"), test.group_scores("b"))
         )
         post_gaps.append(
-            wasserstein1_distance(
-                EmpiricalMeasure.uniform(aligned.group_scores("a")),
-                EmpiricalMeasure.uniform(aligned.group_scores("b")),
-            )
+            wasserstein1_distance(aligned.group_scores("a"), aligned.group_scores("b"))
         )
         params = fit_post_logit(train)
         rescaled = test.replace_group_scores(

@@ -1,5 +1,6 @@
 """Property tests: the vectorized OT core, score map, post-logit scale
-search, sigmoid and top region against loop oracles, the rank metrics against
+search, sigmoid and top region against loop oracles, the wasserstein
+baseline's quantile maps against their np.unique form, the rank metrics against
 brute-force pair counts, the transported index sets and the score map psi
 across lambda, the fairpot map on record subsets, and the inverse normal CDF
 against scipy."""
@@ -14,7 +15,7 @@ from scipy.special import ndtri
 from scipy.stats import wasserstein_distance
 
 from fairpot._util import sigmoid
-from fairpot.baselines import DEFAULT_SCALE_GRID, fit_post_logit
+from fairpot.baselines import DEFAULT_SCALE_GRID, _group_quantile_maps, fit_post_logit
 from fairpot.datagen import _ndtri
 from fairpot.metrics import (
     ScoreSet,
@@ -29,7 +30,6 @@ from fairpot.metrics import (
     xauc_disparity,
 )
 from fairpot.ot import (
-    EmpiricalMeasure,
     TransportPlan,
     barycentric_projection,
     plan_cost,
@@ -57,17 +57,19 @@ def summation_tol(k, scale):
 
 @st.composite
 def measures(draw, max_size=40):
+    """A score cloud, half the time with each point repeated 1 to 9 times: a
+    measure with integer multiplicities is the uniform one over its repeated
+    support."""
     support = np.array(draw(st.lists(values, min_size=1, max_size=max_size)))
     if draw(st.booleans()):
-        return EmpiricalMeasure.uniform(support)
+        return support
     counts = draw(st.lists(st.integers(1, 9), min_size=len(support), max_size=len(support)))
-    weights = np.array(counts, dtype=float)
-    return EmpiricalMeasure(support=support, weights=weights / weights.sum())
+    return np.repeat(support, counts)
 
 
 @given(supports, supports)
 def test_uniform_plan_equals_cell_walk(zs, zt):
-    plan = solve_ot_1d(EmpiricalMeasure.uniform(zs), EmpiricalMeasure.uniform(zt))
+    plan = solve_ot_1d(zs, zt)
     src, tgt, mass = oracles.loop_uniform_plan(zs, zt)
     assert np.array_equal(plan.source_idx, src)
     assert np.array_equal(plan.target_idx, tgt)
@@ -77,19 +79,19 @@ def test_uniform_plan_equals_cell_walk(zs, zt):
 @given(measures(max_size=8), measures(max_size=8))
 def test_plan_matches_lp_oracle(src, tgt):
     plan = solve_ot_1d(src, tgt)
-    lp_cost, _ = oracles.lp_transport(src.support, src.weights, tgt.support, tgt.weights)
-    assert abs(plan_cost(plan, src.support, tgt.support) - lp_cost) <= 1e-9
+    lp_cost, _ = oracles.lp_transport(src, tgt)
+    assert abs(plan_cost(plan, src, tgt) - lp_cost) <= 1e-9
 
 
 @given(measures(), measures())
 def test_projection_matches_row_loop(src, tgt):
     plan = solve_ot_1d(src, tgt)
-    fast = barycentric_projection(plan, tgt.support)
+    fast = barycentric_projection(plan, tgt)
     ref = oracles.loop_barycentric_projection(
-        plan.source_idx, plan.target_idx, plan.masses, tgt.support, len(src)
+        plan.source_idx, plan.target_idx, plan.masses, tgt, len(src)
     )
     for i in range(len(src)):
-        coupled = tgt.support[plan.target_idx[plan.source_idx == i]]
+        coupled = tgt[plan.target_idx[plan.source_idx == i]]
         if len(coupled) == 1:
             assert fast[i] == ref[i]
         else:
@@ -117,7 +119,7 @@ def test_score_map_matches_tie_merge(pairs):
 
 @given(measures(), measures())
 def test_w1_matches_scipy(p, q):
-    expected = wasserstein_distance(p.support, q.support, p.weights, q.weights)
+    expected = wasserstein_distance(p, q)
     assert abs(wasserstein1_distance(p, q) - expected) <= 1e-12
 
 
@@ -127,15 +129,15 @@ def permuted(plan, order) -> TransportPlan:
         source_idx=plan.source_idx[order],
         target_idx=plan.target_idx[order],
         masses=plan.masses[order],
-        source_weights=plan.source_weights,
-        target_weights=plan.target_weights,
+        source_n=plan.source_n,
+        target_n=plan.target_n,
     )
 
 
 def test_projection_ignores_the_order_of_the_triples():
     rng = np.random.default_rng(60)
     zs, zt = np.round(rng.random(300), 2), np.round(rng.random(200), 2)
-    solved = solve_ot_1d(EmpiricalMeasure.uniform(zs), EmpiricalMeasure.uniform(zt))
+    solved = solve_ot_1d(zs, zt)
     expected = bits(barycentric_projection(solved, zt))
     for _ in range(3):
         shuffled = permuted(solved, rng.permutation(len(solved.masses)))
@@ -151,8 +153,8 @@ def test_projection_ignores_the_order_of_the_triples():
         source_idx=np.repeat(solved.source_idx, pieces),
         target_idx=np.repeat(solved.target_idx, pieces),
         masses=np.repeat(solved.masses / sums, pieces) * shares,
-        source_weights=solved.source_weights,
-        target_weights=solved.target_weights,
+        source_n=solved.source_n,
+        target_n=solved.target_n,
     )
     for _ in range(3):
         shuffled = permuted(hand, rng.permutation(len(hand.masses)))
@@ -167,7 +169,7 @@ def test_projection_ignores_the_order_of_the_triples():
 def test_uniform_plan_equals_cell_walk_on_unequal_shapes(n, m):
     rng = np.random.default_rng(n + m)
     zs, zt = rng.integers(0, 50, size=n) / 50, rng.integers(0, 50, size=m) / 50  # ties
-    plan = solve_ot_1d(EmpiricalMeasure.uniform(zs), EmpiricalMeasure.uniform(zt))
+    plan = solve_ot_1d(zs, zt)
     src, tgt, mass = oracles.loop_uniform_plan(zs, zt)
     assert np.array_equal(plan.source_idx, src)
     assert np.array_equal(plan.target_idx, tgt)
@@ -249,6 +251,26 @@ def test_post_logit_fit_equals_loop(train, grid, offset):
 
 def bits(x) -> np.ndarray:
     return np.asarray(x, dtype=float).view(np.uint64)
+
+
+@given(
+    st.lists(
+        st.one_of(st.sampled_from((0.0, -0.0, 0.25, 0.5, 1.0)), st.floats(0.0, 1.0)),
+        min_size=1,
+        max_size=40,
+    )
+)
+@example([0.5])  # one score: level 0.5
+@example([0.0, -0.0, 0.5, -0.0, 0.0])  # both signs of zero are one tie group
+def test_quantile_maps_equal_unique_form(scores):
+    scores = np.array(scores)
+    to_level, to_score = _group_quantile_maps(scores)
+    ref_level, ref_score = oracles.unique_quantile_maps(scores)
+    probes = np.linspace(-0.5, 1.5, 41)
+    queries = np.concatenate((scores, probes))
+    assert np.array_equal(bits(to_level(queries)), bits(ref_level(queries)))
+    levels = np.concatenate((ref_level(scores), probes))
+    assert np.array_equal(bits(to_score(levels)), bits(ref_score(levels)))
 
 
 # Both signs of zero, infinities, and the edges where exp under- or overflows.

@@ -8,6 +8,7 @@ import pytest
 from fairpot import metrics
 from fairpot.ot import barycentric_projection
 from fairpot.transport import (
+    ScoreMap,
     apply_phi,
     apply_psi,
     build_score_map,
@@ -50,7 +51,7 @@ class TestFitTransport:
         plan = fit_transport(a, b)
         from fairpot.ot import plan_cost
 
-        lp_cost, _ = oracles.lp_transport(b, np.full(4, 0.25), a, np.full(6, 1 / 6))
+        lp_cost, _ = oracles.lp_transport(b, a)
         assert plan_cost(plan, b, a) == pytest.approx(lp_cost, abs=1e-9)
 
     def test_empty_group_named_in_error(self):
@@ -142,6 +143,15 @@ class TestScoreMap:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             build_score_map([0.1, 0.2], [0.3])
+
+    def test_nan_original_scores_rejected(self):
+        # NaN compares unequal to itself, so each NaN would become a knot
+        with pytest.raises(ValueError, match="^knot x-values must not be nan$"):
+            build_score_map([np.nan, 0.5, np.nan], [0.1, 0.2, 0.3])
+
+    def test_single_nan_knot_rejected(self):
+        with pytest.raises(ValueError, match="^knot x-values must not be nan$"):
+            ScoreMap(knots_x=[np.nan], knots_y=[0.2])
 
 
 class TestApplyPsi:
