@@ -94,7 +94,10 @@ def _bootstrap_draw(config: ExperimentConfig, n: int, rep: int) -> np.ndarray | 
 
 def _fit_and_map(
     config: ExperimentConfig, train: ScoreSet, test: ScoreSet
-) -> tuple[list[tuple[float, ScoreSet]], Callable[[np.ndarray, np.ndarray], None] | None]:
+) -> tuple[
+    transport.MappedSets | list[tuple[float, ScoreSet]],
+    Callable[[np.ndarray, np.ndarray], None] | None,
+]:
     """Fit ``config.method`` on ``train`` and map every record of ``test``.
     Each map adjusts a record by its own score and group, so any subset of a
     mapped set is that subset mapped. Every mapped set holds ``test``'s
@@ -127,30 +130,77 @@ def _fit_and_map(
     )
 
 
-def _replicate(
-    config: ExperimentConfig, rep: int, file_fit: tuple[ScoreSet, tuple] | None = None
-) -> list[tuple[float, float, float]] | str:
-    """Replicate ``rep``'s ``(lambda, accuracy, disparity)`` points, or the
-    message of the error that failed it. In file mode ``file_fit`` holds the
-    test file and the sweep's one ``_fit_and_map`` result, and the replicate
-    evaluates a bootstrap draw of the mapped records; without it the
-    replicate draws its own synthetic cohort and fits on its split."""
-    try:
-        if file_fit is None:
-            train, test = _synthetic_scored_split(
-                config, config.seed + rep if config.bootstrap_n > 0 else config.seed
-            )
-            mapped, check = _fit_and_map(config, train, test)
-            draw = None
+def _evaluate_grid(
+    config: ExperimentConfig,
+    test: ScoreSet,
+    fitted: tuple,
+    n_reps: int,
+    draw: Callable[[int], np.ndarray | None] = lambda rep: None,
+) -> list[list[tuple[float, float, float]] | str]:
+    """Each replicate's ``(lambda, accuracy, disparity)`` points, or the
+    message of the error that failed it: replicate r evaluates the records
+    of ``test`` at ``draw(r)`` (None: all) on each mapped set of ``fitted``,
+    a ``_fit_and_map`` result. Only the shorter axis of this R x L grid is
+    held, so working memory is O(n) per item of it."""
+    mapped, check = fitted
+
+    def drawn_cells(rep: int) -> dict | str:
+        try:
+            drawn = draw(rep)
+            region = metrics.select_region(test, config.mode, config.alpha, drawn)
+            if check is not None:
+                check(drawn, region)
+            return metrics.region_cells(test, region)
+        except (ValueError, RuntimeError) as exc:
+            return str(exc)
+
+    outcomes: list = [[] for _ in range(n_reps)]
+
+    def evaluate(rep: int, cells, lam: float, mapped_set: ScoreSet) -> None:
+        if isinstance(cells, str):
+            outcomes[rep] = cells
         else:
-            test, (mapped, check) = file_fit
-            draw = _bootstrap_draw(config, len(test), rep)
-        region = metrics.select_region(test, config.mode, config.alpha, draw)
-        if check is not None:
-            check(draw, region)
-        return metrics.evaluate_region(test, region, mapped, config.mode)
+            point = metrics.evaluate_cells(cells, mapped_set.scores, config.mode)
+            outcomes[rep].append((lam, *point))
+
+    # With more lambdas than replicates, every replicate is drawn, checked
+    # and has its cells taken once, and those are kept while each mapped set
+    # is built, evaluated by every replicate and dropped. Otherwise the
+    # mapped sets are kept and each replicate is drawn, evaluated on all of
+    # them and dropped. An error building a mapped set fails every replicate.
+    try:
+        if len(mapped) > n_reps:
+            replicates = [drawn_cells(rep) for rep in range(n_reps)]
+            for lam, mapped_set in mapped:
+                for rep, cells in enumerate(replicates):
+                    evaluate(rep, cells, lam, mapped_set)
+                del mapped_set  # before the next set is built
+        else:
+            mapped = list(mapped)
+            for rep in range(n_reps):
+                cells = drawn_cells(rep)
+                for lam, mapped_set in mapped:
+                    evaluate(rep, cells, lam, mapped_set)
+                del cells  # before the next replicate is drawn
+    except ValueError as exc:
+        return [str(exc)] * n_reps
+    return outcomes
+
+
+def _replicate(config: ExperimentConfig, rep: int) -> list[tuple[float, float, float]] | str:
+    """Synthetic replicate ``rep``'s ``(lambda, accuracy, disparity)``
+    points, or the message of the error that failed it: it draws a cohort,
+    fits on its split and evaluates its test split. Its 1 x L grid holds only
+    the shorter axis: with two or more lambdas, its cells, while one mapped
+    set at a time is built, so working memory is O(n) in the split's size."""
+    try:
+        train, test = _synthetic_scored_split(
+            config, config.seed + rep if config.bootstrap_n > 0 else config.seed
+        )
+        fitted = _fit_and_map(config, train, test)
     except (ValueError, RuntimeError) as exc:
         return str(exc)
+    return _evaluate_grid(config, test, fitted, 1)[0]
 
 
 def _synthetic_replicates(config: ExperimentConfig, n_reps: int) -> list:
@@ -221,14 +271,16 @@ def cmd_sweep(args) -> int:
                 raise ScoreFileError(f"{path}: no records")
         # A method's fit depends on the training set only. In file mode that
         # set is the same for every replicate, so the whole test file is
-        # mapped once and each replicate evaluates its draw of the mapped
-        # records. An error from the fit or the map fails each replicate.
+        # mapped once per lambda and each replicate evaluates its draw of the
+        # mapped records. An error from the fit or a map fails each replicate.
         try:
             fitted = _fit_and_map(config, base_train, base_test)
         except ValueError as exc:
             outcomes = [str(exc)] * n_reps
         else:
-            outcomes = [_replicate(config, rep, (base_test, fitted)) for rep in range(n_reps)]
+            del base_train  # the fit keeps what it needs of the training set
+            draw = functools.partial(_bootstrap_draw, config, len(base_test))
+            outcomes = _evaluate_grid(config, base_test, fitted, n_reps, draw)
     else:
         outcomes = _synthetic_replicates(config, n_reps)
 

@@ -110,51 +110,78 @@ def _parse_plain_score_file(data: bytes) -> ScoreSet | None:
     hold one row ``id,score,label,group``; LF or CRLF line ends; no quotes
     and no blank rows; one-byte labels and groups; scores that ``float``
     parses into [0, 1]; unique ids. On such a file the row reader gives the
-    same records, bit for bit."""
+    same records, bit for bit.
+
+    Besides ``data``, a parse holds a few arrays of one int64 per row, and
+    one byte mask of its size while it finds the line ends and commas. Each
+    is dropped once it is dead, and the scores are converted in blocks, so a
+    parse peaks at about 3 times the file's size."""
     if data.translate(None, _PLAIN_BYTES) or not data.startswith(_HEADER_LINE):
         return None
     arr = np.frombuffer(data, dtype=np.uint8)
     # A line ends at a LF, or at the CR just before it; the last line may
     # have no line end. A CR elsewhere ends a csv row too: the row reader
     # takes that file.
-    newlines = np.flatnonzero(arr == _NL)
-    crlf = arr[newlines - 1] == _CR
-    if np.count_nonzero(arr == _CR) != np.count_nonzero(crlf):
-        return None
-    line_ends = newlines - crlf
+    mask = arr == _NL  # reused below for the commas
+    newlines = np.flatnonzero(mask)
+    line_ends = newlines
+    n_cr = data.count(b"\r")
+    if n_cr:
+        crlf = arr[newlines - 1] == _CR
+        if n_cr != np.count_nonzero(crlf):
+            return None
+        line_ends = newlines - crlf
     if not data.endswith(b"\n"):
         line_ends = np.append(line_ends, len(arr))
     if len(line_ends) < 2 or line_ends[0] != len(_HEADER_LINE):
         return None
-    starts, ends = newlines[: len(line_ends) - 1] + 1, line_ends[1:]
-    if (ends - starts).max() > csv.field_size_limit():
+    # each row runs from just after the LF before it to its line end
+    before, ends = newlines[: len(line_ends) - 1], line_ends[1:]
+    if (ends - before).max() - 1 > csv.field_size_limit():
         return None
-    # Three commas per row, the last two just before a one-byte label and a
-    # one-byte group. Row i takes the commas ranked 3i to 3i + 2 after the
-    # header's three; once its third sits two bytes before row i's end, after
-    # which there is no comma, rows 0 to i hold exactly 3(i + 1) commas
-    # between them.
-    commas = np.flatnonzero(arr == _COMMA)[3:]
-    if len(commas) != 3 * len(ends):
+    # A row's last four bytes are a comma, its label, a comma and its group.
+    # With those commas and the header's cleared, the one comma left in each
+    # row, after the LF before it and before its label comma, ends its id.
+    label_comma = ends - 4
+    del line_ends, ends
+    comma, label, comma2, group = (arr[k:][label_comma] for k in range(4))
+    if not (
+        np.all((comma == _COMMA) & (comma2 == _COMMA))
+        and np.all((label == _ZERO) | (label == _ONE))
+        and np.all((group == _A) | (group == _B))
+    ):
         return None
-    commas = commas.reshape(-1, 3)
-    label_at, group_at = commas[:, 1] + 1, commas[:, 2] + 1
-    if np.any(commas[:, 2] != label_at + 1) or np.any(ends != group_at + 1):
+    np.equal(arr, _COMMA, out=mask)
+    mask[: len(_HEADER_LINE)] = False
+    mask[label_comma] = False
+    mask[2:][label_comma] = False  # the group comma, two bytes on
+    id_end = np.flatnonzero(mask)
+    del mask
+    if not (
+        len(id_end) == len(label_comma)
+        and np.all(id_end > before)
+        and np.all(id_end < label_comma)
+    ):
         return None
-    label, group = arr[label_at], arr[group_at]
-    if not (np.all((label == _ZERO) | (label == _ONE)) and np.all((group == _A) | (group == _B))):
+    id_width = id_end - before - 1
+    del newlines, before
+    if not _ids_unique(data, id_end, id_width):
         return None
-    if not _ids_unique(data, starts, commas[:, 0]):
-        return None
-    first, stop = commas[:, 0] + 1, commas[:, 1]
-    scores, bulk = _canonical_decimals(data, first, stop)
+    del id_width
+    # the score field runs from just after the id's comma to the label comma
+    first = id_end + 1
+    del id_end
+    scores, bulk = _canonical_decimals(data, first, label_comma)
     rest = np.flatnonzero(~bulk)
     try:
         # On printable ASCII, float() parses bytes exactly as it parses the
         # str the row reader passes it.
-        scores[rest] = [float(data[a:b]) for a, b in zip(first[rest].tolist(), stop[rest].tolist())]
+        scores[rest] = [
+            float(data[a:b]) for a, b in zip(first[rest].tolist(), label_comma[rest].tolist())
+        ]
     except ValueError:
         return None
+    del first, label_comma
     if not (scores.min() >= 0.0 and scores.max() <= 1.0):
         return None  # out of range, infinite, or nan, which min and max return
     in_group_a = group == _A
@@ -172,18 +199,24 @@ def _words(data: bytes, dtype: str) -> np.ndarray:
     return np.ndarray((len(data) - 7,), dtype=dtype, buffer=data, strides=(1,))
 
 
-def _ids_unique(data: bytes, starts: np.ndarray, stops: np.ndarray) -> bool:
-    """Whether the id fields ``data[starts[i]:stops[i]]``, each ending at
-    least 8 bytes into ``data``, are distinct."""
-    width = stops - starts
+def _ids_unique(data: bytes, stops: np.ndarray, width: np.ndarray) -> bool:
+    """Whether the id fields ``data[stops[i] - width[i]:stops[i]]``, each
+    ending at least 8 bytes into ``data``, are distinct."""
     if width.max() > _ID_KEY_BYTES:
-        return len({data[a:b] for a, b in zip(starts.tolist(), stops.tolist())}) == len(starts)
+        starts = (stops - width).tolist()
+        return len({data[a:b] for a, b in zip(starts, stops.tolist())}) == len(stops)
     # Each id as the big-endian integer of the 8 bytes that end with it, the
     # bytes before the id zeroed: no id holds a zero byte, so equal keys mean
     # equal ids.
-    keys = _words(data, ">u8")[stops - 8] & _LOW_BYTES[width]
+    keys = _words(data, ">u8")[stops - 8]
+    keys &= _LOW_BYTES[width]
     keys.sort()
     return not np.any(keys[1:] == keys[:-1])
+
+
+# Fields converted per block: the conversion's temporaries are a few arrays
+# of this many words, whatever the size of the file.
+_BLOCK_FIELDS = 1 << 13
 
 
 def _canonical_decimals(data: bytes, first: np.ndarray, stop: np.ndarray):
@@ -198,16 +231,23 @@ def _canonical_decimals(data: bytes, first: np.ndarray, stop: np.ndarray):
     10**k. Both are exact binary64 values, so one IEEE division returns the
     decimal correctly rounded, as ``float()`` does (W. D. Clinger, "How to
     Read Floating Point Numbers Accurately", PLDI 1990). The digits are read
-    8 at a time from the two 8-byte words that end with the field."""
+    8 at a time from the two 8-byte words that end with the field, one block
+    of fields at a time."""
     arr = np.frombuffer(data, dtype=np.uint8)
-    k = stop - first - 2
-    bulk = (k >= 1) & (k <= _MAX_DIGITS) & (arr[first] == _ZERO) & (arr[first + 1] == _DOT)
     words = _words(data, "<u8")
-    low, low_ok = _eight_digits(words[stop - 8], np.clip(k, 0, 8))
-    high, high_ok = _eight_digits(words[stop - 16], np.clip(k - 8, 0, 8))
-    bulk &= low_ok & high_ok
-    digits = high * np.uint64(10**8) + low
-    return digits.astype(float) / _POW10[np.clip(k, 0, _MAX_DIGITS)], bulk
+    values = np.empty(len(first))
+    bulk = np.empty(len(first), dtype=bool)
+    for at in range(0, len(first), _BLOCK_FIELDS):
+        block = slice(at, at + _BLOCK_FIELDS)
+        a, b = first[block], stop[block]
+        k = b - a - 2
+        ok = (k >= 1) & (k <= _MAX_DIGITS) & (arr[a] == _ZERO) & (arr[a + 1] == _DOT)
+        low, low_ok = _eight_digits(words[b - 8], np.clip(k, 0, 8))
+        high, high_ok = _eight_digits(words[b - 16], np.clip(k - 8, 0, 8))
+        bulk[block] = ok & low_ok & high_ok
+        digits = high * np.uint64(10**8) + low
+        values[block] = digits.astype(float) / _POW10[np.clip(k, 0, _MAX_DIGITS)]
+    return values, bulk
 
 
 def _eight_digits(words: np.ndarray, n: np.ndarray):

@@ -13,8 +13,10 @@ on one set share the table; ``pauc`` and ``pxauc`` read the table of the
 region's records, which is the set's own when the region holds all of it.
 
 A sweep goes from a replicate's draw to its points through ``select_region``,
-the records a method is fitted or evaluated on, and ``evaluate_region``, the
-metrics of every lambda's mapped scores on those records.
+the records a method is fitted or evaluated on, ``region_cells``, those
+records' cells as positions in the test set, and ``evaluate_cells``, the
+metrics of one lambda's mapped scores on them (``evaluate_region`` does the
+last two for every lambda).
 """
 
 from __future__ import annotations
@@ -81,27 +83,14 @@ class ScoreSet:
     def cells(self) -> dict[tuple[int, str], np.ndarray]:
         """Positions of the records of each (label, group) cell, in record
         order. Shared by sets that hold the same records' labels and groups."""
-        is_pos = self.labels == 1
-        is_a = self.in_group_a
-        return {
-            (1, GROUP_A): np.flatnonzero(is_pos & is_a),
-            (1, GROUP_B): np.flatnonzero(is_pos & ~is_a),
-            (0, GROUP_A): np.flatnonzero(~is_pos & is_a),
-            (0, GROUP_B): np.flatnonzero(~is_pos & ~is_a),
-        }
+        masks = _cell_masks(self.labels == 1, self.in_group_a)
+        return {cell: np.flatnonzero(mask) for cell, mask in masks.items()}
 
     @cached_property
     def pair_counts(self) -> "PairCounts":
         """Strict pair counts of this set, by group; see ``PairCounts``."""
-        ranked = {cell: np.sort(self.scores[idx]) for cell, idx in self.cells.items()}
-        return PairCounts(
-            above={
-                (g, h): count_pairs_above(ranked[1, g], ranked[0, h])
-                for g in GROUPS
-                for h in GROUPS
-            },
-            n_pos={g: len(ranked[1, g]) for g in GROUPS},
-            n_neg={g: len(ranked[0, g]) for g in GROUPS},
+        return PairCounts.of_ranked(
+            {cell: np.sort(self.scores[idx]) for cell, idx in self.cells.items()}
         )
 
     def group_mask(self, group: str) -> np.ndarray:
@@ -117,7 +106,8 @@ class ScoreSet:
         """Set over already-validated records, such as records taken from
         another set: the checks in ``__post_init__`` are not rerun. The arrays
         are made read-only; ``cached`` presets cached properties
-        (``in_group_a``, ``cells``) that must hold for these labels and groups."""
+        (``in_group_a``, ``cells``, ``pair_counts``) that must hold for these
+        records."""
         out = object.__new__(cls)
         for name, arr in (("scores", scores), ("labels", labels), ("groups", groups)):
             arr.setflags(write=False)
@@ -163,6 +153,17 @@ class ScoreSet:
         scores = self.scores.copy()
         scores[mask] = new_scores
         return self.with_scores(scores)
+
+
+def _cell_masks(is_pos: np.ndarray, is_a: np.ndarray) -> dict[tuple[int, str], np.ndarray]:
+    """Each (label, group) cell's mask over records with these positive and
+    group-a masks."""
+    return {
+        (1, GROUP_A): is_pos & is_a,
+        (1, GROUP_B): is_pos & ~is_a,
+        (0, GROUP_A): ~is_pos & is_a,
+        (0, GROUP_B): ~is_pos & ~is_a,
+    }
 
 
 def require_both_groups(
@@ -218,6 +219,19 @@ class PairCounts:
     above: dict[tuple[str, str], int]
     n_pos: dict[str, int]
     n_neg: dict[str, int]
+
+    @classmethod
+    def of_ranked(cls, ranked: dict[tuple[int, str], np.ndarray]) -> "PairCounts":
+        """Counts from each (label, group) cell's scores, sorted ascending."""
+        return cls(
+            above={
+                (g, h): count_pairs_above(ranked[1, g], ranked[0, h])
+                for g in GROUPS
+                for h in GROUPS
+            },
+            n_pos={g: len(ranked[1, g]) for g in GROUPS},
+            n_neg={g: len(ranked[0, g]) for g in GROUPS},
+        )
 
     def auc(self, if_no_pos: float = 0.0, if_no_neg: float = 0.0) -> float:
         """Share of all (positive, negative) pairs ranked correctly; the given
@@ -343,25 +357,58 @@ def region_set(s: ScoreSet, mode: str, alpha: float | None) -> ScoreSet:
     return s if idx is None else s.subset(idx)
 
 
+def region_cells(s: ScoreSet, region: np.ndarray | None) -> dict[tuple[int, str], np.ndarray]:
+    """The positions in ``s`` of the records at ``region`` in each (label,
+    group) cell, as in ``ScoreSet.cells``: ``region`` holds ``select_region``
+    positions, which may repeat a record, or None for every record once. No
+    copy of the region's scores, labels or groups is kept."""
+    if region is None:
+        return s.cells
+    masks = _cell_masks(s.labels[region] == 1, s.in_group_a[region])
+    return {cell: region[np.flatnonzero(mask)] for cell, mask in masks.items()}
+
+
+def evaluate_cells(
+    cells: dict[tuple[int, str], np.ndarray], scores: np.ndarray, mode: str
+) -> tuple[float, float]:
+    """``(accuracy, disparity)`` of the records at ``cells`` (from
+    ``region_cells``) scored by ``scores``, one per record of the set they
+    were taken from: AUC and xAUC disparity in global mode, pAUC and pxAUC
+    disparity over all of them in partial mode. They are evaluated as one set
+    in cell order, each cell's scores sorted in place and its pair counts
+    read off those sorted runs. A position outside ``scores`` is a
+    ValueError."""
+    for idx in cells.values():
+        if len(idx) and (idx.min() < 0 or idx.max() >= len(scores)):
+            raise ValueError(f"cells reach past the {len(scores)} scores given")
+    sizes = [len(idx) for idx in cells.values()]
+    ranked = np.empty(sum(sizes))
+    runs, start = {}, 0
+    for (cell, idx), size in zip(cells.items(), sizes):
+        run = ranked[start : start + size]
+        # written in place: with mode "raise", np.take buffers its output
+        np.take(scores, idx, out=run, mode="clip")
+        run.sort()
+        runs[cell] = run
+        start += size
+    labels = np.repeat(np.array([label for label, _ in cells], dtype=np.int64), sizes)
+    groups = np.repeat(np.array([group for _, group in cells], dtype="U1"), sizes)
+    s = ScoreSet._derived(ranked, labels, groups, pair_counts=PairCounts.of_ranked(runs))
+    if mode == "global":
+        return auc(s), xauc_disparity(s)
+    whole = top_alpha_region(s, 1.0)
+    return pauc(s, whole), pxauc_disparity(s, whole)
+
+
 def evaluate_region(
     test: ScoreSet, region: np.ndarray | None, mapped, mode: str
 ) -> list[tuple[float, float, float]]:
     """``(lam, accuracy, disparity)`` of each ``(lam, mapped set)`` in
     ``mapped``, each mapped set holding ``test``'s records in order with new
-    scores, evaluated on the records at ``region`` (from ``select_region``):
-    AUC and xAUC disparity in global mode, pAUC and pxAUC disparity over all
-    of them in partial mode. The region's labels, groups and cells are taken
-    once, and each lambda's evaluated set holds only its own scores."""
-    evaluated = test if region is None else test.subset(region)
-    evaluated.cells  # computed here once, and shared by each lambda's set
-    points = []
-    for lam, mapped_set in mapped:
-        scores = mapped_set.scores if region is None else mapped_set.scores[region]
-        # built one lambda at a time, so only one evaluated set is held
-        s = evaluated.with_scores(scores)
-        if mode == "global":
-            points.append((lam, auc(s), xauc_disparity(s)))
-        else:
-            whole = top_alpha_region(s, 1.0)
-            points.append((lam, pauc(s, whole), pxauc_disparity(s, whole)))
-    return points
+    scores, evaluated (``evaluate_cells``) on the records at ``region`` (from
+    ``select_region``). The region's cells are taken once and ``mapped`` is
+    walked once, lambda being the outer loop of this one-replicate grid: on
+    ``transport.fit_and_map``'s result, one mapped set and O(n) scratch are
+    held at a time."""
+    cells = region_cells(test, region)
+    return [(lam, *evaluate_cells(cells, m.scores, mode)) for lam, m in mapped]

@@ -14,7 +14,7 @@ boundary clamping) is applied to test scores.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Literal
+from typing import Callable, Iterator, Literal
 
 import numpy as np
 
@@ -114,27 +114,18 @@ def apply_phi(
     if plan.source_n != len(b) or plan.target_n != len(a):
         raise ValueError("plan dimensions do not match the given score vectors")
     n_top = ceil_count(lam, len(b))
+    out = b.copy()
     if n_top == 0:
-        out, top = b.copy(), np.empty(0, dtype=np.int64)
+        top = np.empty(0, dtype=np.int64)
     else:
-        order = np.argsort(-b, kind="stable")
-        out = _move_top(b, order, barycentric_projection(plan, a), n_top)
-        top = np.sort(order[:n_top])
+        top = np.sort(np.argsort(-b, kind="stable")[:n_top])
+        out[top] = barycentric_projection(plan, a)[top]
     return PartialTransportResult(
         lam=lam,
         transported_scores=out,
         transported_index_set=top,
         n_transported=n_top,
     )
-
-
-def _move_top(scores: np.ndarray, desc_order: np.ndarray, projected: np.ndarray, n_top: int):
-    """``scores`` with its ``n_top`` highest entries, taken in ``desc_order``
-    (descending, ties by lower index), replaced by their projections."""
-    top = desc_order[:n_top]
-    out = scores.copy()
-    out[top] = projected[top]
-    return out
 
 
 def build_score_map(original_train, transported_train) -> ScoreMap:
@@ -168,6 +159,23 @@ def _moving_reference(direction: str) -> tuple[str, str]:
     return (GROUP_B, GROUP_A) if direction == "b_to_a" else (GROUP_A, GROUP_B)
 
 
+class MappedSets:
+    """``(lam, mapped test set)`` for each lambda of one fit, in lambda order.
+    A set is built when a pass reaches it and is not kept, so a pass holds
+    one at a time; every pass builds the same sets, bit for bit."""
+
+    def __init__(self, lambdas: tuple[float, ...], build: Callable[[float], ScoreSet]):
+        self.lambdas = lambdas
+        self._build = build
+
+    def __len__(self) -> int:
+        return len(self.lambdas)
+
+    def __iter__(self) -> Iterator[tuple[float, ScoreSet]]:
+        # keeps no reference to a set it has yielded while it builds the next
+        return ((lam, self._build(lam)) for lam in self.lambdas)
+
+
 def fit_and_map(
     train: ScoreSet,
     test: ScoreSet,
@@ -175,18 +183,21 @@ def fit_and_map(
     mode: Mode = "global",
     alpha: float | None = None,
     direction: Direction = "b_to_a",
-) -> list[tuple[float, ScoreSet]]:
+) -> MappedSets:
     """Fit on ``train`` (its top-``alpha`` region in partial mode) and map the
     moving group's scores of every ``test`` record, once per lambda.
 
     Each test record's new score depends only on its own score and group, so
-    any subset of a mapped set equals that subset mapped. Returns
-    ``(lam, mapped test set)`` in the order of ``lambdas``; at ``lam == 0`` the
-    mapped set is ``test`` itself.
+    any subset of a mapped set equals that subset mapped. Returns the
+    ``(lam, mapped test set)`` sequence in the order of ``lambdas``; at
+    ``lam == 0`` the set is ``test`` itself. The fit is made here, and each
+    set is built when a pass reaches it (``MappedSets``), so a caller that
+    takes lambda as its outer loop, as a sweep with more lambdas than
+    replicates does, works in O(n) memory whatever the number of lambdas.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    lambdas = [float(l) for l in lambdas]
+    lambdas = tuple(float(l) for l in lambdas)
     for lam in lambdas:
         if not 0.0 <= lam <= 1.0:
             raise ValueError(f"lambda values must lie in [0, 1], got {lam}")
@@ -197,31 +208,34 @@ def fit_and_map(
     ref_train = train.group_scores(reference)
     if len(mov_train) == 0 or len(ref_train) == 0:
         raise ValueError("top region of the training set is missing a group")
-    mov_test = test.group_scores(moving)
 
     # Everything but the top-k slice is lambda-independent: project once, rank
     # the moving group once, and presort the score-map knots and test queries.
     # Pairs are presorted stably by original score, so each build_score_map
-    # merges its tie groups in the same order as on the unsorted pairs.
-    plan = fit_transport(ref_train, mov_train)
-    projected = barycentric_projection(plan, ref_train)
-    desc_order = np.argsort(-mov_train, kind="stable")
+    # merges its tie groups in the same order as on the unsorted pairs. The
+    # top k records in descending order (ties by lower index) are those of
+    # descending rank below k.
+    projected = barycentric_projection(fit_transport(ref_train, mov_train), ref_train)
+    desc_rank = np.empty(len(mov_train), dtype=np.int64)
+    desc_rank[np.argsort(-mov_train, kind="stable")] = np.arange(len(mov_train))
     knot_order = np.argsort(mov_train, kind="stable")
-    sorted_train = mov_train[knot_order]
-    test_order = np.argsort(mov_test, kind="stable")
-    sorted_test = mov_test[test_order]
+    knots_x, projected_y = mov_train[knot_order], projected[knot_order]
+    knot_rank = desc_rank[knot_order]
+    test_at = np.flatnonzero(test.group_mask(moving))
+    test_order = np.argsort(test.scores[test_at], kind="stable")
+    test_at = test_at[test_order]
+    queries = test.scores[test_at]
 
-    mapped = []
-    for lam in lambdas:
+    def build(lam: float) -> ScoreSet:
         if lam == 0.0:
-            mapped.append((lam, test))
-            continue
-        moved = _move_top(mov_train, desc_order, projected, ceil_count(lam, len(mov_train)))
-        score_map = build_score_map(sorted_train, moved[knot_order])
-        transformed = np.empty_like(mov_test)
-        transformed[test_order] = apply_psi(score_map, sorted_test)
-        mapped.append((lam, test.replace_group_scores(moving, transformed)))
-    return mapped
+            return test
+        moved = knot_rank < ceil_count(lam, len(knots_x))
+        score_map = build_score_map(knots_x, np.where(moved, projected_y, knots_x))
+        scores = test.scores.copy()
+        scores[test_at] = apply_psi(score_map, queries)
+        return test.with_scores(scores)
+
+    return MappedSets(lambdas, build)
 
 
 def sweep(

@@ -495,6 +495,56 @@ class TestReplicateGroupFailures:
         rows = read_sweep_results(tmp_path / "out" / f"sweep_fairpot_{mode}_results.csv")
         assert [r.replicate for r in rows if r.failed] == [3, 10]
 
+    @pytest.mark.parametrize("mode", ["global", "partial"])
+    def test_grid_order_does_not_change_a_point(self, tmp_path, capsys, mode):
+        # 12 replicates: 13 lambdas walk lambda as the outer loop, 3 walk the
+        # replicates; a (replicate, lambda) point is the same either way, and
+        # so are the replicates that fail their draw check
+        cfg = write_rare_group_inputs(tmp_path, "b")
+        points = {}
+        for lambdas in ([0.0, 0.5, 1.0], [i / 12 for i in range(13)]):
+            config = json.loads(Path(cfg).read_text())
+            Path(cfg).write_text(json.dumps({**config, "lambdas": lambdas}))
+            code, err, _ = sweep_outcome(capsys, tmp_path / "out", cfg, "fairpot", mode)
+            assert code == 0
+            assert err == [f"replicate {rep}: test set contains no group 'b' records"
+                           for rep in (3, 10)]
+            rows = read_sweep_results(tmp_path / "out" / f"sweep_fairpot_{mode}_results.csv")
+            points[len(lambdas)] = {
+                (r.lam, r.replicate): (r.accuracy, r.disparity) for r in rows if not r.failed
+            }
+        assert len(points[3]) == 3 * 10 and len(points[13]) == 13 * 10
+        assert points[3] == {key: points[13][key] for key in points[3]}
+
+    @pytest.mark.parametrize(
+        "lambdas, failing_map", [([0.0, 0.5, 1.0], 1), ([i / 12 for i in range(13)], 6)]
+    )
+    def test_an_error_building_a_map_fails_every_replicate(
+        self, tmp_path, capsys, monkeypatch, lambdas, failing_map
+    ):
+        # The map of lambda 0.5 fails. With 3 lambdas every map is built
+        # before any replicate is evaluated; with 13, five lambdas have been
+        # evaluated by every replicate by then.
+        real_build = transport.build_score_map
+        built = []
+
+        def failing_build(x, y):
+            built.append(1)
+            if len(built) == failing_map:
+                raise ValueError("knots out of order")
+            return real_build(x, y)
+
+        monkeypatch.setattr(transport, "build_score_map", failing_build)
+        cfg = write_rare_group_inputs(tmp_path, "b")
+        config = json.loads(Path(cfg).read_text())
+        Path(cfg).write_text(json.dumps({**config, "lambdas": lambdas}))
+        code, err, digest = sweep_outcome(capsys, tmp_path / "out", cfg, "fairpot", "global")
+        assert code == 1
+        assert err == [f"replicate {rep}: knots out of order" for rep in range(12)] + [
+            "error: all replicates failed"
+        ]
+        assert digest is None
+
     def test_fairpot_train_region_error_comes_before_the_draw_check(self, tmp_path, capsys):
         # The train top region holds no group b and replicates 3 and 10 draw no
         # group b: every replicate reports the fit error, as the baselines do.

@@ -8,8 +8,11 @@ from fairpot.metrics import (
     GROUP_B,
     ScoreSet,
     auc,
+    evaluate_cells,
     pauc,
     pxauc_disparity,
+    region_cells,
+    select_region,
     top_alpha_region,
     xauc,
     xauc_disparity,
@@ -255,3 +258,29 @@ class TestOracleEquivalence:
                 pxauc_disparity(s, region),
             ):
                 assert 0.0 <= value <= 1.0
+
+
+class TestEvaluateCells:
+    @pytest.mark.parametrize("mode", ["global", "partial"])
+    def test_matches_the_region_subset(self, mode):
+        rng = np.random.default_rng(31)
+        s = oracles.random_score_set(rng, 60)
+        draw = rng.integers(0, 60, size=60)
+        region = select_region(s, mode, 0.5, draw)
+        sub = s.subset(region)
+        got = evaluate_cells(region_cells(s, region), s.scores, mode)
+        if mode == "global":
+            assert got == (auc(sub), xauc_disparity(sub))
+        else:
+            whole = top_alpha_region(sub, 1.0)
+            assert got == (pauc(sub, whole), pxauc_disparity(sub, whole))
+
+    @pytest.mark.parametrize("drawn", [False, True])
+    def test_cells_of_a_larger_set_rejected(self, drawn):
+        rng = np.random.default_rng(32)
+        big = oracles.random_score_set(rng, 40)
+        region = rng.integers(0, 40, size=40) if drawn else None
+        cells = region_cells(big, region)
+        small = big.subset(np.arange(30))
+        with pytest.raises(ValueError, match="past the 30 scores"):
+            evaluate_cells(cells, small.scores, "global")

@@ -277,28 +277,51 @@ class TestSweep:
 
 
 @pytest.mark.parametrize("mode", ["global", "partial"])
+def test_mapped_sets_are_rebuilt_bit_for_bit_on_every_pass(mode):
+    # tests that walk a fit_and_map result twice rely on this: a spent
+    # generator would make their second pass check nothing
+    train, test = random_split_sets(905)
+    lambdas = [0.0, 0.3, 0.6, 1.0]
+    mapped = fit_and_map(train, test, lambdas, mode, 0.5)
+    assert len(mapped) == len(lambdas)
+    first = [(lam, s.scores.copy()) for lam, s in mapped]
+    second = list(mapped)
+    assert [lam for lam, _ in first] == [lam for lam, _ in second] == lambdas
+    for (_, scores), (_, s) in zip(first, second):
+        assert scores.view(np.uint64).tolist() == s.scores.view(np.uint64).tolist()
+        assert s.labels is test.labels and s.groups is test.groups
+    assert second[0][1] is test  # lambda 0 maps nothing
+
+
+@pytest.mark.parametrize("mode", ["global", "partial"])
 @pytest.mark.parametrize("drawn", [False, True])
 def test_cells_are_taken_once_per_evaluation(monkeypatch, mode, drawn):
     """Mapping holds no cells; evaluating every lambda takes the evaluated
-    records' cells once."""
+    records' cells once, and no evaluated set computes cells of its own: the
+    test set's, when the region is every record, or none."""
     train, test = random_split_sets(903)
     mapped = fit_and_map(train, test, [0.0, 0.3, 0.6, 1.0], mode, 0.5)
     assert all("cells" not in s.__dict__ for _, s in mapped)
     draw = np.random.default_rng(904).integers(0, len(test), size=len(test)) if drawn else None
     region = metrics.select_region(test, mode, 0.5, draw)
-    taken = []
+    taken, computed = [], []
+    region_cells = metrics.region_cells
+    monkeypatch.setattr(
+        metrics, "region_cells", lambda s, r: taken.append(s) or region_cells(s, r)
+    )
     cells = metrics.ScoreSet.cells.func
-    counted = cached_property(lambda s: taken.append(len(s)) or cells(s))
+    counted = cached_property(lambda s: computed.append(s) or cells(s))
     counted.__set_name__(metrics.ScoreSet, "cells")
     monkeypatch.setattr(metrics.ScoreSet, "cells", counted)
     metrics.evaluate_region(test, region, mapped, mode)
-    assert len(taken) == 1
+    assert len(taken) == 1 and taken[0] is test
+    assert computed == ([test] if region is None else [])
 
 
 def reference_sweep(train, test, lambdas, mode, alpha, direction):
     """Sweep rebuilt per lambda from the public phi -> score map -> psi chain.
 
-    Returns the evaluated test scores and the (accuracy, disparity) per lambda.
+    Returns the evaluated test set and the (accuracy, disparity) per lambda.
     """
     moving, reference = ("b", "a") if direction == "b_to_a" else ("a", "b")
     if mode == "partial":
@@ -306,7 +329,7 @@ def reference_sweep(train, test, lambdas, mode, alpha, direction):
         test = test.subset(metrics.top_alpha_region(test, alpha).member_indices)
     mov, ref = train.group_scores(moving), train.group_scores(reference)
     plan = fit_transport(ref, mov)
-    scores, values = [], []
+    evaluated, values = [], []
     for lam in lambdas:
         transformed = test.group_scores(moving)
         if lam != 0.0:
@@ -314,13 +337,20 @@ def reference_sweep(train, test, lambdas, mode, alpha, direction):
             score_map = build_score_map(mov, phi.transported_scores)
             transformed = apply_psi(score_map, transformed)
         merged = test.replace_group_scores(moving, transformed)
-        scores.append(merged.scores)
+        evaluated.append(merged)
         if mode == "global":
             values.append((metrics.auc(merged), metrics.xauc_disparity(merged)))
         else:
             whole = metrics.top_alpha_region(merged, 1.0)
             values.append((metrics.pauc(merged, whole), metrics.pxauc_disparity(merged, whole)))
-    return scores, values
+    return evaluated, values
+
+
+def records(s):
+    """A set's labels, groups and scores, its records ordered by label,
+    group and score."""
+    order = np.lexsort((s.scores, s.groups, s.labels))
+    return s.labels[order], s.groups[order], s.scores[order]
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -336,20 +366,32 @@ def test_sweep_equals_per_lambda_pipeline_with_ties(mode, direction, seed, monke
     lams = [0.0, 1e-15, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0]
     alpha = 0.6 if mode == "partial" else None
 
-    # record the test scores each lambda is evaluated on
+    # record the records each lambda is evaluated on; the sweep evaluates a
+    # region's records cell by cell, so they are compared in one fixed order
     seen = []
     first_metric = "auc" if mode == "global" else "pauc"
     evaluate = getattr(metrics, first_metric)
 
     def recording(s, *rest):
-        seen.append(s.scores)
+        seen.append(records(s))
         return evaluate(s, *rest)
 
     monkeypatch.setattr(metrics, first_metric, recording)
     points = sweep(train, test, lams, mode=mode, alpha=alpha, direction=direction)
     monkeypatch.undo()
 
-    scores, values = reference_sweep(train, test, lams, mode, alpha, direction)
-    assert len(seen) == len(scores)
-    assert all(np.array_equal(got, want) for got, want in zip(seen, scores))
+    evaluated, values = reference_sweep(train, test, lams, mode, alpha, direction)
+    assert len(seen) == len(evaluated)
+    for got, want in zip(seen, evaluated):
+        assert all(np.array_equal(g, w) for g, w in zip(got, records(want)))
     assert [(p.accuracy, p.disparity) for p in points] == values
+
+    # and each mapped test set gives every record, in record order, the
+    # reference chain's score bit for bit
+    mapped = fit_and_map(train, test, lams, mode, alpha, direction)
+    region = None if mode == "global" else metrics.top_alpha_region(test, alpha).member_indices
+    assert len(mapped) == len(evaluated)
+    for (lam, got), want in zip(mapped, evaluated):
+        got = got if region is None else got.subset(region)
+        assert got.scores.view(np.uint64).tolist() == want.scores.view(np.uint64).tolist(), lam
+        assert np.array_equal(got.labels, want.labels) and np.array_equal(got.groups, want.groups)
