@@ -13,7 +13,6 @@ import functools
 import os
 import sys
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -94,113 +93,46 @@ def _bootstrap_draw(config: ExperimentConfig, n: int, rep: int) -> np.ndarray | 
 
 def _fit_and_map(
     config: ExperimentConfig, train: ScoreSet, test: ScoreSet
-) -> tuple[
-    transport.MappedSets | list[tuple[float, ScoreSet]],
-    Callable[[np.ndarray, np.ndarray], None] | None,
-]:
+) -> transport.MappedSets:
     """Fit ``config.method`` on ``train`` and map every record of ``test``.
     Each map adjusts a record by its own score and group, so any subset of a
     mapped set is that subset mapped. Every mapped set holds ``test``'s
     records in order and shares its labels and groups: only scores change.
-    Return ``(lambda, mapped test set)`` for each lambda (one lambda = 0 entry
-    for a baseline), and the check, if any, that a replicate's draw and
-    evaluated region of ``test`` (``metrics.select_region`` positions) must
-    pass."""
+    A baseline has one mapped set, at lambda 0."""
     if config.method == "fairpot":
-        mapped = transport.fit_and_map(
+        return transport.fit_and_map(
             train, test, config.lambdas, config.mode, config.alpha, config.direction
         )
-        # fairpot needs both groups among the drawn records, not in the
-        # evaluated region: a region without the moving group is scored as is
-        return mapped, lambda draw, region: require_both_groups(test, "test", draw)
     if config.method == "unadjusted":
-        return [(0.0, test)], None
+        return transport.MappedSets((0.0,), lambda lam: test)
     fit_set = metrics.region_set(train, config.mode, config.alpha)
     if config.method == "post-logit":
         params = baselines.fit_post_logit(fit_set)
         mapped = test.replace_group_scores(
             GROUP_B, baselines.apply_post_logit(params, test.group_scores(GROUP_B))
         )
-        return [(0.0, mapped)], None
+        return transport.MappedSets((0.0,), lambda lam: mapped)
     # wasserstein_fair rejects a set it maps unless both groups are in it, and
     # so an evaluated region must hold both groups too.
-    return (
-        [(0.0, baselines.wasserstein_fair(fit_set, test))],
-        lambda draw, region: require_both_groups(test, "test", region),
+    mapped = baselines.wasserstein_fair(fit_set, test)
+    return transport.MappedSets(
+        (0.0,), lambda lam: mapped, lambda draw, region: require_both_groups(test, "test", region)
     )
-
-
-def _evaluate_grid(
-    config: ExperimentConfig,
-    test: ScoreSet,
-    fitted: tuple,
-    n_reps: int,
-    draw: Callable[[int], np.ndarray | None] = lambda rep: None,
-) -> list[list[tuple[float, float, float]] | str]:
-    """Each replicate's ``(lambda, accuracy, disparity)`` points, or the
-    message of the error that failed it: replicate r evaluates the records
-    of ``test`` at ``draw(r)`` (None: all) on each mapped set of ``fitted``,
-    a ``_fit_and_map`` result. Only the shorter axis of this R x L grid is
-    held, so working memory is O(n) per item of it."""
-    mapped, check = fitted
-
-    def drawn_cells(rep: int) -> dict | str:
-        try:
-            drawn = draw(rep)
-            region = metrics.select_region(test, config.mode, config.alpha, drawn)
-            if check is not None:
-                check(drawn, region)
-            return metrics.region_cells(test, region)
-        except (ValueError, RuntimeError) as exc:
-            return str(exc)
-
-    outcomes: list = [[] for _ in range(n_reps)]
-
-    def evaluate(rep: int, cells, lam: float, mapped_set: ScoreSet) -> None:
-        if isinstance(cells, str):
-            outcomes[rep] = cells
-        else:
-            point = metrics.evaluate_cells(cells, mapped_set.scores, config.mode)
-            outcomes[rep].append((lam, *point))
-
-    # With more lambdas than replicates, every replicate is drawn, checked
-    # and has its cells taken once, and those are kept while each mapped set
-    # is built, evaluated by every replicate and dropped. Otherwise the
-    # mapped sets are kept and each replicate is drawn, evaluated on all of
-    # them and dropped. An error building a mapped set fails every replicate.
-    try:
-        if len(mapped) > n_reps:
-            replicates = [drawn_cells(rep) for rep in range(n_reps)]
-            for lam, mapped_set in mapped:
-                for rep, cells in enumerate(replicates):
-                    evaluate(rep, cells, lam, mapped_set)
-                del mapped_set  # before the next set is built
-        else:
-            mapped = list(mapped)
-            for rep in range(n_reps):
-                cells = drawn_cells(rep)
-                for lam, mapped_set in mapped:
-                    evaluate(rep, cells, lam, mapped_set)
-                del cells  # before the next replicate is drawn
-    except ValueError as exc:
-        return [str(exc)] * n_reps
-    return outcomes
 
 
 def _replicate(config: ExperimentConfig, rep: int) -> list[tuple[float, float, float]] | str:
     """Synthetic replicate ``rep``'s ``(lambda, accuracy, disparity)``
     points, or the message of the error that failed it: it draws a cohort,
-    fits on its split and evaluates its test split. Its 1 x L grid holds only
-    the shorter axis: with two or more lambdas, its cells, while one mapped
-    set at a time is built, so working memory is O(n) in the split's size."""
+    fits on its split and evaluates its test split, a 1 x L grid that
+    ``transport.evaluate_grid`` walks in O(n) memory in the split's size."""
     try:
         train, test = _synthetic_scored_split(
             config, config.seed + rep if config.bootstrap_n > 0 else config.seed
         )
-        fitted = _fit_and_map(config, train, test)
+        mapped = _fit_and_map(config, train, test)
     except (ValueError, RuntimeError) as exc:
         return str(exc)
-    return _evaluate_grid(config, test, fitted, 1)[0]
+    return transport.evaluate_grid(test, mapped, config.mode, config.alpha)[0]
 
 
 def _synthetic_replicates(config: ExperimentConfig, n_reps: int) -> list:
@@ -274,13 +206,15 @@ def cmd_sweep(args) -> int:
         # mapped once per lambda and each replicate evaluates its draw of the
         # mapped records. An error from the fit or a map fails each replicate.
         try:
-            fitted = _fit_and_map(config, base_train, base_test)
+            mapped = _fit_and_map(config, base_train, base_test)
         except ValueError as exc:
             outcomes = [str(exc)] * n_reps
         else:
             del base_train  # the fit keeps what it needs of the training set
             draw = functools.partial(_bootstrap_draw, config, len(base_test))
-            outcomes = _evaluate_grid(config, base_test, fitted, n_reps, draw)
+            outcomes = transport.evaluate_grid(
+                base_test, mapped, config.mode, config.alpha, n_reps, draw
+            )
     else:
         outcomes = _synthetic_replicates(config, n_reps)
 

@@ -15,8 +15,8 @@ region's records, which is the set's own when the region holds all of it.
 A sweep goes from a replicate's draw to its points through ``select_region``,
 the records a method is fitted or evaluated on, ``region_cells``, those
 records' cells as positions in the test set, and ``evaluate_cells``, the
-metrics of one lambda's mapped scores on them (``evaluate_region`` does the
-last two for every lambda).
+metrics of one lambda's mapped scores on them; ``transport.evaluate_grid``
+walks them over every replicate and lambda.
 """
 
 from __future__ import annotations
@@ -43,6 +43,15 @@ def _check_scores(scores: np.ndarray) -> None:
         raise ValueError("scores must be finite and in [0, 1]")
 
 
+def _all_in(values: np.ndarray, allowed: tuple, kinds: str) -> bool:
+    """Whether each of ``values``, as given and not cast, is one of ``allowed``.
+    A dtype kind outside ``kinds`` is not compared: numpy 1.24 warns on
+    comparing strings with numbers."""
+    return values.size == 0 or (
+        values.dtype.kind in kinds and np.logical_or.reduce([values == v for v in allowed]).all()
+    )
+
+
 @dataclass(frozen=True, eq=False)
 class ScoreSet:
     """Ordered collection of scored records backed by parallel arrays."""
@@ -53,17 +62,17 @@ class ScoreSet:
 
     def __post_init__(self) -> None:
         scores = np.asarray(self.scores, dtype=float)
-        labels = np.asarray(self.labels, dtype=np.int64)
-        groups = np.asarray(self.groups, dtype="U1")
+        labels, groups = np.asarray(self.labels), np.asarray(self.groups)
         if not (scores.ndim == labels.ndim == groups.ndim == 1):
             raise ValueError("scores, labels and groups must be 1-dimensional")
         if not (len(scores) == len(labels) == len(groups)):
             raise ValueError("scores, labels and groups must have equal length")
         _check_scores(scores)
-        if not np.all((labels == 0) | (labels == 1)):
+        if not _all_in(labels, (0, 1), "biuf"):
             raise ValueError("labels must be 0 or 1")
-        if not np.all(np.isin(groups, GROUPS)):
+        if not _all_in(groups, GROUPS, "UO"):
             raise ValueError(f"groups must be one of {GROUPS}")
+        labels, groups = labels.astype(np.int64, copy=False), groups.astype("U1", copy=False)
         for name, arr in (("scores", scores), ("labels", labels), ("groups", groups)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -399,16 +408,3 @@ def evaluate_cells(
     whole = top_alpha_region(s, 1.0)
     return pauc(s, whole), pxauc_disparity(s, whole)
 
-
-def evaluate_region(
-    test: ScoreSet, region: np.ndarray | None, mapped, mode: str
-) -> list[tuple[float, float, float]]:
-    """``(lam, accuracy, disparity)`` of each ``(lam, mapped set)`` in
-    ``mapped``, each mapped set holding ``test``'s records in order with new
-    scores, evaluated (``evaluate_cells``) on the records at ``region`` (from
-    ``select_region``). The region's cells are taken once and ``mapped`` is
-    walked once, lambda being the outer loop of this one-replicate grid: on
-    ``transport.fit_and_map``'s result, one mapped set and O(n) scratch are
-    held at a time."""
-    cells = region_cells(test, region)
-    return [(lam, *evaluate_cells(cells, m.scores, mode)) for lam, m in mapped]

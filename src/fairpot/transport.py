@@ -132,7 +132,8 @@ def build_score_map(original_train, transported_train) -> ScoreMap:
     """Knots from aligned (original, transported) training pairs.
 
     Records sharing an original score are merged into a single knot whose value
-    is the mean of their transported scores, keeping the map a function.
+    is the mean of their transported scores, keeping the map a function, clamped
+    to their range: equal scores keep their value, and ordered groups stay so.
     """
     x = np.asarray(original_train, dtype=float)
     y = np.asarray(transported_train, dtype=float)
@@ -145,7 +146,9 @@ def build_score_map(original_train, transported_train) -> ScoreMap:
     # each tie group is one run of the sorted pairs, in their stable order
     start = np.flatnonzero(np.append(True, xs[1:] != xs[:-1]))
     counts = np.diff(start, append=len(xs))
-    return ScoreMap(knots_x=xs[start], knots_y=np.add.reduceat(ys, start) / counts)
+    means = np.add.reduceat(ys, start) / counts
+    knots_y = np.clip(means, np.minimum.reduceat(ys, start), np.maximum.reduceat(ys, start))
+    return ScoreMap(knots_x=xs[start], knots_y=knots_y)
 
 
 def apply_psi(score_map: ScoreMap, scores_b_test) -> np.ndarray:
@@ -160,13 +163,16 @@ def _moving_reference(direction: str) -> tuple[str, str]:
 
 
 class MappedSets:
-    """``(lam, mapped test set)`` for each lambda of one fit, in lambda order.
-    A set is built when a pass reaches it and is not kept, so a pass holds
-    one at a time; every pass builds the same sets, bit for bit."""
+    """``(lam, mapped test set)`` for each lambda of one fit, in lambda order,
+    each built when a pass reaches it and not kept, so a pass holds one at a
+    time and every pass builds the same sets, bit for bit. ``check``, if any,
+    raises ValueError for a replicate whose draw and evaluated region of the
+    test set (``metrics.select_region`` positions) the fit cannot score."""
 
-    def __init__(self, lambdas: tuple[float, ...], build: Callable[[float], ScoreSet]):
+    def __init__(self, lambdas: tuple[float, ...], build: Callable[[float], ScoreSet], check=None):
         self.lambdas = lambdas
         self._build = build
+        self.check = check
 
     def __len__(self) -> int:
         return len(self.lambdas)
@@ -194,6 +200,8 @@ def fit_and_map(
     set is built when a pass reaches it (``MappedSets``), so a caller that
     takes lambda as its outer loop, as a sweep with more lambdas than
     replicates does, works in O(n) memory whatever the number of lambdas.
+    Its check needs both groups among a replicate's drawn records; a region
+    without the moving group is scored as it is.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -235,7 +243,66 @@ def fit_and_map(
         scores[test_at] = apply_psi(score_map, queries)
         return test.with_scores(scores)
 
-    return MappedSets(lambdas, build)
+    return MappedSets(lambdas, build, lambda draw, region: require_both_groups(test, "test", draw))
+
+
+def evaluate_grid(
+    test: ScoreSet,
+    mapped: MappedSets,
+    mode: Mode,
+    alpha: float | None,
+    n_reps: int = 1,
+    draw: Callable[[int], np.ndarray | None] = lambda rep: None,
+) -> list[list[tuple[float, float, float]] | str]:
+    """Each replicate's ``(lambda, accuracy, disparity)`` points, or the
+    message of the error that failed it: replicate r evaluates the records
+    of ``test`` at ``draw(r)`` (None: all), once its draw and region pass
+    ``mapped.check``, on each set of ``mapped``, which holds ``test``'s
+    records with new scores. Only the shorter axis of this R x L grid is
+    held, so working memory is O(n) per item of it."""
+    check = mapped.check
+
+    def drawn_cells(rep: int) -> dict | str:
+        try:
+            drawn = draw(rep)
+            region = metrics.select_region(test, mode, alpha, drawn)
+            if check is not None:
+                check(drawn, region)
+            return metrics.region_cells(test, region)
+        except (ValueError, RuntimeError) as exc:
+            return str(exc)
+
+    outcomes: list = [[] for _ in range(n_reps)]
+
+    def evaluate(rep: int, cells, lam: float, mapped_set: ScoreSet) -> None:
+        if isinstance(cells, str):
+            outcomes[rep] = cells
+        else:
+            point = metrics.evaluate_cells(cells, mapped_set.scores, mode)
+            outcomes[rep].append((lam, *point))
+
+    # With more lambdas than replicates, every replicate is drawn, checked
+    # and has its cells taken once, and those are kept while each mapped set
+    # is built, evaluated by every replicate and dropped. Otherwise the
+    # mapped sets are kept and each replicate is drawn, evaluated on all of
+    # them and dropped. An error building a mapped set fails every replicate.
+    try:
+        if len(mapped) > n_reps:
+            replicates = [drawn_cells(rep) for rep in range(n_reps)]
+            for lam, mapped_set in mapped:
+                for rep, cells in enumerate(replicates):
+                    evaluate(rep, cells, lam, mapped_set)
+                del mapped_set  # before the next set is built
+        else:
+            mapped = list(mapped)
+            for rep in range(n_reps):
+                cells = drawn_cells(rep)
+                for lam, mapped_set in mapped:
+                    evaluate(rep, cells, lam, mapped_set)
+                del cells  # before the next replicate is drawn
+    except ValueError as exc:
+        return [str(exc)] * n_reps
+    return outcomes
 
 
 def sweep(
@@ -254,12 +321,14 @@ def sweep(
     In partial mode the top region is taken once from the merged pre-transport
     scores (train for fitting, test for evaluation) and held fixed; metrics are
     computed within the region members only. The points are those of a
-    ``fairpot sweep`` on these sets without a bootstrap.
+    ``fairpot sweep`` on these sets without a bootstrap, by the same path; an
+    error that would fail its one replicate is raised as a ValueError.
     """
     mapped = fit_and_map(train, test, lambdas, mode, alpha, direction)
-    require_both_groups(test, "test")
-    region = metrics.select_region(test, mode, alpha)
+    [outcome] = evaluate_grid(test, mapped, mode, alpha)
+    if isinstance(outcome, str):
+        raise ValueError(outcome)
     return [
         TradeoffPoint(lam, accuracy, disparity, method_tag, replicate_id)
-        for lam, accuracy, disparity in metrics.evaluate_region(test, region, mapped, mode)
+        for lam, accuracy, disparity in outcome
     ]

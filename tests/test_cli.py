@@ -270,8 +270,9 @@ class TestBaselineFits:
         rng = np.random.default_rng(4)
         train, test = oracles.random_score_set(rng, 80), oracles.random_score_set(rng, 50)
         config = ExperimentConfig(method=method, mode=mode, lambdas=(0.0, 0.4, 1.0))
-        mapped, _ = cli._fit_and_map(config, train, test)
+        mapped = cli._fit_and_map(config, train, test)
         assert len(mapped) == (3 if method == "fairpot" else 1)
+        assert (mapped.check is None) == (method in ("post-logit", "unadjusted"))
         for _, s in mapped:
             assert np.array_equal(s.labels, test.labels)
             assert np.array_equal(s.groups, test.groups)
@@ -806,6 +807,33 @@ def test_library_sweep_points_are_the_cli_rows(tmp_path, mode, direction):
          f"{p.disparity:.10g}")
         for p in points
     ]
+
+
+@pytest.mark.parametrize("mode", transport.MODES)
+def test_library_sweep_raises_the_cli_replicate_error(tmp_path, capsys, mode):
+    # a test file without group b fails the one replicate of a sweep without
+    # a bootstrap, and fairpot.sweep raises the same message
+    paths = write_golden_inputs(tmp_path)
+    test = read_score_file(paths["test"])
+    write_score_file(test.subset(np.flatnonzero(test.group_mask("a"))), paths["test"])
+    cfg = write_config(
+        tmp_path,
+        output_dir=str(tmp_path),
+        bootstrap_n=0,
+        alpha=0.3,
+        train_path=str(paths["train"]),
+        test_path=str(paths["test"]),
+    )
+    message = "test set contains no group 'b' records"
+    assert run("sweep", "--config", cfg, "--method", "fairpot", "--mode", mode) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"replicate 0: {message}",
+        "error: all replicates failed",
+    ]
+    train, test = read_score_file(paths["train"]), read_score_file(paths["test"])
+    for lambdas in ([0.5], [0.0, 0.5, 1.0]):  # either grid order
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            fairpot.sweep(train, test, lambdas, mode=mode, alpha=0.3)
 
 
 IMPORT_PATH_SCRIPT = """

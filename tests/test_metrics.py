@@ -82,6 +82,29 @@ class TestScoreSet:
         with pytest.raises(ValueError):
             make_set([score], [label], [group])
 
+    @pytest.mark.parametrize(
+        "labels,groups,message",
+        [
+            ([1, 0.5], ["a", "b"], "labels must be 0 or 1"),
+            ([1, 2], ["a", "b"], "labels must be 0 or 1"),
+            ([1, "1"], ["a", "b"], "labels must be 0 or 1"),
+            ([1, 0], ["a", "alpha"], "groups must be one of"),
+            ([1, 0], ["a", "ab"], "groups must be one of"),
+        ],
+        ids=["0.5", "2", "'1'", "alpha", "ab"],
+    )
+    def test_values_are_checked_before_they_are_cast(self, labels, groups, message):
+        # a cast to int64 / one character would turn 0.5 into 0 and "ab" into "a"
+        with pytest.raises(ValueError, match=message):
+            ScoreSet([0.2, 0.9], labels, groups)
+
+    def test_in_contract_values_are_cast(self):
+        s = ScoreSet([0.2, 0.9, 0.5], [True, 0.0, 1], np.array(["a", "b", "a"], dtype=object))
+        assert s.labels.dtype == np.int64 and s.labels.tolist() == [1, 0, 1]
+        assert s.groups.dtype == np.dtype("U1") and s.groups.tolist() == ["a", "b", "a"]
+        empty = ScoreSet([], [], [])
+        assert empty.labels.dtype == np.int64 and empty.groups.dtype == np.dtype("U1")
+
 
 class TestAuc:
     def test_perfect_separation(self):

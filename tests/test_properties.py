@@ -21,10 +21,11 @@ from fairpot.metrics import (
     ScoreSet,
     TopAlphaRegion,
     auc,
-    evaluate_region,
+    evaluate_cells,
     pauc,
     pxauc,
     pxauc_disparity,
+    region_cells,
     top_alpha_region,
     xauc,
     xauc_disparity,
@@ -115,6 +116,9 @@ def test_score_map_matches_tie_merge(pairs):
     small = sizes <= 2
     assert np.array_equal(score_map.knots_y[small], knots_y[small])
     assert np.all(np.abs(score_map.knots_y - knots_y) <= summation_tol(sizes, np.max(y)))
+    for knot_x, knot_y in zip(knots_x, score_map.knots_y):
+        tied = y[x == knot_x]
+        assert tied.min() <= knot_y <= tied.max()
 
 
 @given(measures(), measures())
@@ -387,9 +391,7 @@ def test_rank_metrics_equal_brute_force(s, alpha, picks, flipped):
     expected = mapped.subset(members)
 
     def evaluated(mode):
-        [(lam, *point)] = evaluate_region(s, members, [(0.5, mapped)], mode)
-        assert lam == 0.5
-        return bits(tuple(point))
+        return bits(evaluate_cells(region_cells(s, members), mapped.scores, mode))
 
     if len(members):
         everything = np.arange(len(members))
@@ -436,28 +438,20 @@ def test_psi_clamps_outside_the_knot_range(a, b, lam, queries):
     assert np.array_equal(bits(out[above]), bits(np.full(above.sum(), score_map.knots_y[-1])))
 
 
-def tie_sizes(train_scores) -> np.ndarray:
-    """How many training scores share each knot, in knot order."""
-    return np.unique(train_scores, return_counts=True)[1]
-
-
 @given(unit_scores, unit_scores, unit_scores)
 # three copies of 0.1 average to 0.10000000000000002
 @example([0.0], [0.1, 0.1, 0.1, 0.6], [0.05, 0.1, 0.3])
 def test_psi_is_the_identity_at_lambda_zero(a, b, queries):
-    """A knot of an untied training score maps to itself exactly; a tie
-    group's knot is the mean of its equal copies, which rounding may move.
+    """Every knot maps to itself exactly, a tie group's knot too, whose mean
+    of equal copies may round off their value but is clamped back to it.
     (The sweep applies no psi at lambda 0, so its output is exact there.)"""
     score_map = psi(a, b, 0.0)
-    x, y, sizes = score_map.knots_x, score_map.knots_y, tie_sizes(b)
-    untied = sizes == 1
-    assert np.array_equal(bits(y[untied]), bits(x[untied]))
-    assert np.all(np.abs(y - x) <= summation_tol(sizes, x))
-    if np.all(untied):
-        # between knots, interpolation on the line y = x rounds by an ulp at most
-        assert np.array_equal(bits(apply_psi(score_map, x)), bits(x))
-        q = np.clip(np.array(queries), x[0], x[-1])
-        assert np.all(np.abs(apply_psi(score_map, q) - q) <= np.spacing(q))
+    x, y = score_map.knots_x, score_map.knots_y
+    assert np.array_equal(bits(y), bits(x))
+    assert np.array_equal(bits(apply_psi(score_map, x)), bits(x))
+    # between knots, interpolation on the line y = x rounds by an ulp at most
+    q = np.clip(np.array(queries), x[0], x[-1])
+    assert np.all(np.abs(apply_psi(score_map, q) - q) <= np.spacing(q))
 
 
 @given(unit_scores, unit_scores, unit_scores)
@@ -466,16 +460,11 @@ def test_psi_is_the_identity_at_lambda_zero(a, b, queries):
 @example([0.1], [0.0, 0.0, 0.0, 0.1], [0.0, 0.1])
 def test_psi_is_nondecreasing_at_lambda_one(a, b, queries):
     """At lambda 1 every knot is the monotone projection of its training
-    score: psi is nondecreasing when the training scores are untied, and a
-    tie group's mean may step below its right neighbour by rounding only."""
+    score, a tie group's knot the mean of its projections clamped to their
+    range: the knots, and psi on sorted queries, are nondecreasing."""
     score_map = psi(a, b, 1.0)
-    sizes = tie_sizes(b)
-    steps = np.diff(score_map.knots_y)
-    if np.all(sizes == 1):
-        assert np.all(steps >= 0)
-        assert np.all(np.diff(apply_psi(score_map, np.sort(queries))) >= 0)
-    else:
-        assert np.all(steps >= -summation_tol(sizes.max(), 1.0))
+    assert np.all(np.diff(score_map.knots_y) >= 0)
+    assert np.all(np.diff(apply_psi(score_map, np.sort(queries))) >= 0)
 
 
 @st.composite

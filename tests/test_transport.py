@@ -12,6 +12,7 @@ from fairpot.transport import (
     apply_phi,
     apply_psi,
     build_score_map,
+    evaluate_grid,
     fit_and_map,
     fit_transport,
     sweep,
@@ -303,7 +304,7 @@ def test_cells_are_taken_once_per_evaluation(monkeypatch, mode, drawn):
     mapped = fit_and_map(train, test, [0.0, 0.3, 0.6, 1.0], mode, 0.5)
     assert all("cells" not in s.__dict__ for _, s in mapped)
     draw = np.random.default_rng(904).integers(0, len(test), size=len(test)) if drawn else None
-    region = metrics.select_region(test, mode, 0.5, draw)
+    whole = mode == "global" and not drawn
     taken, computed = [], []
     region_cells = metrics.region_cells
     monkeypatch.setattr(
@@ -313,9 +314,10 @@ def test_cells_are_taken_once_per_evaluation(monkeypatch, mode, drawn):
     counted = cached_property(lambda s: computed.append(s) or cells(s))
     counted.__set_name__(metrics.ScoreSet, "cells")
     monkeypatch.setattr(metrics.ScoreSet, "cells", counted)
-    metrics.evaluate_region(test, region, mapped, mode)
+    [points] = evaluate_grid(test, mapped, mode, 0.5, draw=lambda rep: draw)
+    assert len(points) == 4
     assert len(taken) == 1 and taken[0] is test
-    assert computed == ([test] if region is None else [])
+    assert computed == ([test] if whole else [])
 
 
 def reference_sweep(train, test, lambdas, mode, alpha, direction):
