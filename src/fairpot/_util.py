@@ -23,6 +23,19 @@ def ceil_count(fraction: float, n: int) -> int:
     return max(0, min(n, count))
 
 
+def top_mask(scores: np.ndarray, k: int) -> np.ndarray:
+    """Mask of the ``k`` highest of ``scores`` (which hold no NaN), ties at
+    the k-th taken toward the lower position: the first ``k`` positions of a
+    stable descending argsort, found in O(n) without the sort. Zeros of both
+    signs are one tie group, as they are to a sort."""
+    if k <= 0:
+        return np.zeros(len(scores), dtype=bool)
+    threshold = np.partition(scores, -k)[-k]
+    mask = scores > threshold
+    mask[np.flatnonzero(scores == threshold)[: k - np.count_nonzero(mask)]] = True
+    return mask
+
+
 def sigmoid(x):
     """Numerically stable logistic function, elementwise."""
     x = np.asarray(x, dtype=float)

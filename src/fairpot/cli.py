@@ -39,7 +39,7 @@ from .io import (
     write_sweep_results,
     write_sweep_summary,
 )
-from .metrics import GROUP_B, ScoreSet, require_both_groups
+from .metrics import GROUP_B, GROUPS, ScoreSet, require_both_groups
 from .pareto import TradeoffPoint, pareto_frontier
 from .svg import render_tradeoff_svg
 
@@ -198,9 +198,18 @@ def cmd_sweep(args) -> int:
     if file_mode:
         base_train = read_score_file(config.train_path)
         base_test = read_score_file(config.test_path)
-        for score_set, path in ((base_train, config.train_path), (base_test, config.test_path)):
+        # fairpot and wasserstein fit on both groups of the training file and
+        # need both among each replicate's test records; post-logit fits on
+        # both groups of the training file. A file without a group that its
+        # method needs would fail every replicate, so it is rejected here.
+        needs_groups = (config.method != "unadjusted", config.method in ("fairpot", "wasserstein"))
+        paths = (config.train_path, config.test_path)
+        for score_set, path, needs in zip((base_train, base_test), paths, needs_groups):
             if not len(score_set):
                 raise ScoreFileError(f"{path}: no records")
+            missing = [g for g in GROUPS if needs and not score_set.group_mask(g).any()]
+            if missing:
+                raise ScoreFileError(f"{path}: no group {missing[0]!r} records")
         # A method's fit depends on the training set only. In file mode that
         # set is the same for every replicate, so the whole test file is
         # mapped once per lambda and each replicate evaluates its draw of the

@@ -17,6 +17,11 @@ the records a method is fitted or evaluated on, ``region_cells``, those
 records' cells as positions in the test set, and ``evaluate_cells``, the
 metrics of one lambda's mapped scores on them; ``transport.evaluate_grid``
 walks them over every replicate and lambda.
+
+The top-alpha region of ``top_alpha_region`` and ``select_region`` is taken
+on a score array by ``_util.top_mask``: the k highest scores, ties toward the
+lower position. The top-lambda move of ``transport.apply_phi`` and
+``transport.fit_and_map`` selects by the same function.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._util import ceil_count
+from ._util import ceil_count, top_mask
 
 GROUP_A = "a"
 GROUP_B = "b"
@@ -286,30 +291,18 @@ def xauc_disparity(s: ScoreSet) -> float:
 
 
 def top_alpha_region(s: ScoreSet, alpha: float) -> TopAlphaRegion:
-    """Select the ceil(alpha * N) records with the highest scores.
+    """Select the ceil(alpha * N) records with the highest scores, those of
+    ``select_region(s, "partial", alpha)``, and their lowest score.
 
     Ties at the threshold keep the record with the lower original index, so the
     selection is deterministic and has exactly the requested size.
     """
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-    n = len(s)
-    if n < 1:
-        raise ValueError("cannot take a top region of an empty ScoreSet")
-    n_alpha = max(1, ceil_count(alpha, n))
-    # A stable descending sort takes every score above the n_alpha-th largest,
-    # then that score's first ties in index order; the last tie taken sets the
-    # threshold, signed zeros included. Found here in O(N), without the sort.
-    threshold = np.partition(s.scores, n - n_alpha)[n - n_alpha]
-    chosen = s.scores > threshold
-    ties = np.flatnonzero(s.scores == threshold)[: n_alpha - np.count_nonzero(chosen)]
-    chosen[ties] = True
-    return TopAlphaRegion(
-        alpha=alpha,
-        n_alpha=n_alpha,
-        threshold=float(s.scores[ties[-1]]),
-        member_indices=np.flatnonzero(chosen),
-    )
+    members = select_region(s, "partial", alpha)
+    taken = s.scores[members]
+    # the last of the lowest ties taken, as a stable descending sort ranks
+    # them, which keeps its sign of zero
+    threshold = taken[np.flatnonzero(taken == taken.min())[-1]]
+    return TopAlphaRegion(alpha, len(members), float(threshold), members)
 
 
 def _region_counts(s: ScoreSet, region: TopAlphaRegion) -> PairCounts:
@@ -349,13 +342,19 @@ def select_region(
     """Positions in ``s`` of the records a method is fitted or evaluated on,
     or None for every record in order. In global mode these are the records
     at ``draw`` (every record when there is no draw); in partial mode, the
-    top-``alpha`` region of those records, ranked on their scores."""
+    top-``alpha`` region of those records, ranked on their scores: the
+    ceil(alpha * n) highest of the n (at least one), ties toward the lower
+    position (in ``draw``, when given; see ``_util.top_mask``)."""
     if mode == "global":
         return draw
     if alpha is None:
         raise ValueError("partial mode requires alpha")
-    drawn = s if draw is None else s.subset(draw)
-    top = top_alpha_region(drawn, alpha).member_indices
+    if not 0.0 < alpha <= 1.0:
+        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
+    scores = s.scores if draw is None else s.scores[draw]
+    if len(scores) < 1:
+        raise ValueError("cannot take a top region of an empty ScoreSet")
+    top = np.flatnonzero(top_mask(scores, max(1, ceil_count(alpha, len(scores)))))
     return top if draw is None else draw[top]
 
 

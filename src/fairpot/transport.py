@@ -19,7 +19,7 @@ from typing import Callable, Iterator, Literal
 import numpy as np
 
 from . import metrics
-from ._util import ceil_count
+from ._util import ceil_count, top_mask
 from .metrics import GROUP_A, GROUP_B, ScoreSet, require_both_groups
 from .ot import TransportPlan, barycentric_projection, solve_ot_1d
 from .pareto import TradeoffPoint
@@ -103,28 +103,26 @@ def apply_phi(
 ) -> PartialTransportResult:
     """Replace the top ceil(lam * n_b) group-b scores with their projections.
 
-    The plan must have been fitted on exactly these score vectors. Ties at the
-    selection boundary prefer the lower original index; all other scores are
-    returned unchanged, in original record order.
+    The plan must have been fitted on exactly these score vectors, and the
+    group-b scores must be finite. Ties at the selection boundary prefer the
+    lower original index; all other scores are returned unchanged, in
+    original record order.
     """
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"lam must be in [0, 1], got {lam}")
     b = np.asarray(scores_b_train, dtype=float)
     a = np.asarray(scores_a_train, dtype=float)
+    if not np.all(np.isfinite(b)):
+        raise ValueError("scores_b_train must be finite")
     if plan.source_n != len(b) or plan.target_n != len(a):
         raise ValueError("plan dimensions do not match the given score vectors")
     n_top = ceil_count(lam, len(b))
     out = b.copy()
-    if n_top == 0:
-        top = np.empty(0, dtype=np.int64)
-    else:
-        top = np.sort(np.argsort(-b, kind="stable")[:n_top])
+    top = np.flatnonzero(top_mask(b, n_top))
+    if n_top:
         out[top] = barycentric_projection(plan, a)[top]
     return PartialTransportResult(
-        lam=lam,
-        transported_scores=out,
-        transported_index_set=top,
-        n_transported=n_top,
+        lam=lam, transported_scores=out, transported_index_set=top, n_transported=n_top
     )
 
 
@@ -217,18 +215,15 @@ def fit_and_map(
     if len(mov_train) == 0 or len(ref_train) == 0:
         raise ValueError("top region of the training set is missing a group")
 
-    # Everything but the top-k slice is lambda-independent: project once, rank
-    # the moving group once, and presort the score-map knots and test queries.
-    # Pairs are presorted stably by original score, so each build_score_map
-    # merges its tie groups in the same order as on the unsorted pairs. The
-    # top k records in descending order (ties by lower index) are those of
-    # descending rank below k.
+    # Everything but the top-k slice is lambda-independent: project once and
+    # presort the score-map knots and test queries. Pairs are presorted stably
+    # by original score, so each build_score_map merges its tie groups in the
+    # same order as on the unsorted pairs. The top k moving records (ties by
+    # lower index) are taken per lambda by ``_util.top_mask``, the rule that
+    # ``apply_phi`` and the top-alpha region select by.
     projected = barycentric_projection(fit_transport(ref_train, mov_train), ref_train)
-    desc_rank = np.empty(len(mov_train), dtype=np.int64)
-    desc_rank[np.argsort(-mov_train, kind="stable")] = np.arange(len(mov_train))
     knot_order = np.argsort(mov_train, kind="stable")
     knots_x, projected_y = mov_train[knot_order], projected[knot_order]
-    knot_rank = desc_rank[knot_order]
     test_at = np.flatnonzero(test.group_mask(moving))
     test_order = np.argsort(test.scores[test_at], kind="stable")
     test_at = test_at[test_order]
@@ -237,7 +232,7 @@ def fit_and_map(
     def build(lam: float) -> ScoreSet:
         if lam == 0.0:
             return test
-        moved = knot_rank < ceil_count(lam, len(knots_x))
+        moved = top_mask(mov_train, ceil_count(lam, len(mov_train)))[knot_order]
         score_map = build_score_map(knots_x, np.where(moved, projected_y, knots_x))
         scores = test.scores.copy()
         scores[test_at] = apply_psi(score_map, queries)

@@ -239,6 +239,11 @@ def masked_sigmoid(x):
     return out
 
 
+def sorted_top_positions(scores: np.ndarray, k: int) -> np.ndarray:
+    """Positions, ascending, of the first ``k`` of a stable descending sort."""
+    return np.sort(np.argsort(-np.asarray(scores, dtype=float), kind="stable")[:k])
+
+
 def sorted_top_alpha_region(s: ScoreSet, alpha: float) -> TopAlphaRegion:
     """Top region taken by a stable descending sort for every alpha,
     including the whole set."""

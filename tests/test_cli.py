@@ -170,23 +170,30 @@ class TestSweep:
             )
             assert len(rows) == 1 and not rows[0].failed
 
-    def test_all_replicates_failed_exit_one(self, tmp_path):
-        # single-group test file: every replicate errors out
+    def test_all_replicates_failed_exit_one(self, tmp_path, capsys):
+        # Both files hold both groups, but every test score of group a is above
+        # every one of group b: the top region of each draw holds no group b,
+        # which fails every wasserstein replicate at run time.
         rng = np.random.default_rng(0)
         train = oracles.random_score_set(rng, 40)
-        bad_test = train.subset(np.flatnonzero(train.group_mask("a")))
-        from fairpot.io import write_score_file
-
+        test = oracles.random_score_set(rng, 40)
+        test = test.with_scores(np.where(test.group_mask("a"), 0.5 + test.scores / 2,
+                                         test.scores / 2))
         write_score_file(train, tmp_path / "train.csv")
-        write_score_file(bad_test, tmp_path / "test.csv")
+        write_score_file(test, tmp_path / "test.csv")
         cfg = write_config(
             tmp_path,
             output_dir=str(tmp_path),
             bootstrap_n=2,
+            alpha=0.1,
             train_path=str(tmp_path / "train.csv"),
             test_path=str(tmp_path / "test.csv"),
         )
-        assert run("sweep", "--config", cfg, "--method", "fairpot") == 1
+        assert run("sweep", "--config", cfg, "--method", "wasserstein", "--mode", "partial") == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"replicate {rep}: test set contains no group 'b' records" for rep in range(2)
+        ] + ["error: all replicates failed"]
+        assert not list(tmp_path.glob("sweep_*"))
 
     def test_partial_failure_records_error_row(self, tmp_path):
         # tiny test set: some bootstrap resamples drop a group, run continues
@@ -566,31 +573,6 @@ class TestReplicateGroupFailures:
         ] + ["error: all replicates failed"]
         assert digest is None
 
-    @pytest.mark.parametrize("mode", ["global", "partial"])
-    def test_single_group_test_file_fails_every_wasserstein_replicate(
-        self, tmp_path, capsys, mode
-    ):
-        rng = np.random.default_rng(0)
-        train = oracles.random_score_set(rng, 40)
-        write_score_file(train, tmp_path / "train.csv")
-        write_score_file(train.subset(np.flatnonzero(train.group_mask("a"))),
-                         tmp_path / "test.csv")
-        cfg = write_config(
-            tmp_path,
-            output_dir=str(tmp_path / "out"),
-            seed=0,
-            bootstrap_n=3,
-            alpha=0.25,
-            train_path=str(tmp_path / "train.csv"),
-            test_path=str(tmp_path / "test.csv"),
-        )
-        code, err, digest = sweep_outcome(capsys, tmp_path / "out", cfg, "wasserstein", mode)
-        assert code == 1
-        assert err == [
-            f"replicate {rep}: test set contains no group 'b' records" for rep in range(3)
-        ] + ["error: all replicates failed"]
-        assert digest is None
-
 
 class TestPareto:
     def _make_results(self, tmp_path):
@@ -698,6 +680,46 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: {paths[empty]}: no records\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("missing", ["a", "b"])
+    @pytest.mark.parametrize(
+        "file, method",
+        [("train", "fairpot"), ("test", "fairpot"), ("train", "wasserstein"),
+         ("test", "wasserstein"), ("train", "post-logit")],
+    )
+    def test_score_file_missing_a_group_rejected(self, tmp_path, capsys, file, method, missing):
+        paths = write_single_group_file(tmp_path, file, missing)
+        cfg = write_config(
+            tmp_path,
+            output_dir=str(tmp_path / "out"),
+            bootstrap_n=2,
+            train_path=str(paths["train"]),
+            test_path=str(paths["test"]),
+        )
+        for mode in transport.MODES:
+            assert run("sweep", "--config", cfg, "--method", method, "--mode", mode) == 2
+            err = capsys.readouterr().err
+            assert err == f"error: {paths[file]}: no group {missing!r} records\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("missing", ["a", "b"])
+    @pytest.mark.parametrize(
+        "file, method", [("train", "unadjusted"), ("test", "unadjusted"), ("test", "post-logit")]
+    )
+    def test_score_file_missing_a_group_kept(self, tmp_path, capsys, file, method, missing):
+        # these methods score a file without one group, as they always have
+        paths = write_single_group_file(tmp_path, file, missing)
+        cfg = write_config(
+            tmp_path,
+            output_dir=str(tmp_path),
+            bootstrap_n=2,
+            train_path=str(paths["train"]),
+            test_path=str(paths["test"]),
+        )
+        assert run("sweep", "--config", cfg, "--method", method) == 0
+        assert capsys.readouterr().err == ""
+        rows = read_sweep_results(tmp_path / f"sweep_{method}_global_results.csv")
+        assert len(rows) == 2 and not any(r.failed for r in rows)
+
     def test_bad_subcommand(self):
         with pytest.raises(SystemExit) as exc:
             run("explode")
@@ -731,6 +753,15 @@ def write_golden_inputs(tmp_path):
         scores[::7] = np.round(scores[::7], 2)
         paths[name] = tmp_path / f"{name}.csv"
         write_score_file(ScoreSet(scores=scores, labels=labels, groups=groups), paths[name])
+    return paths
+
+
+def write_single_group_file(tmp_path, file, missing):
+    """The ``write_golden_inputs`` files, ``file`` ("train" or "test") with
+    its group-``missing`` records left out."""
+    paths = write_golden_inputs(tmp_path)
+    kept = read_score_file(paths[file])
+    write_score_file(kept.subset(np.flatnonzero(~kept.group_mask(missing))), paths[file])
     return paths
 
 
@@ -811,11 +842,10 @@ def test_library_sweep_points_are_the_cli_rows(tmp_path, mode, direction):
 
 @pytest.mark.parametrize("mode", transport.MODES)
 def test_library_sweep_raises_the_cli_replicate_error(tmp_path, capsys, mode):
-    # a test file without group b fails the one replicate of a sweep without
-    # a bootstrap, and fairpot.sweep raises the same message
-    paths = write_golden_inputs(tmp_path)
-    test = read_score_file(paths["test"])
-    write_score_file(test.subset(np.flatnonzero(test.group_mask("a"))), paths["test"])
+    # fairpot.sweep raises the message that fails a replicate whose drawn
+    # records hold no group b; the CLI rejects a test file without group b
+    # before any fit, with exit 2 and no output
+    paths = write_single_group_file(tmp_path, "test", "b")
     cfg = write_config(
         tmp_path,
         output_dir=str(tmp_path),
@@ -825,11 +855,9 @@ def test_library_sweep_raises_the_cli_replicate_error(tmp_path, capsys, mode):
         test_path=str(paths["test"]),
     )
     message = "test set contains no group 'b' records"
-    assert run("sweep", "--config", cfg, "--method", "fairpot", "--mode", mode) == 1
-    assert capsys.readouterr().err.splitlines() == [
-        f"replicate 0: {message}",
-        "error: all replicates failed",
-    ]
+    assert run("sweep", "--config", cfg, "--method", "fairpot", "--mode", mode) == 2
+    assert capsys.readouterr().err == f"error: {paths['test']}: no group 'b' records\n"
+    assert not list(tmp_path.glob("sweep_*"))
     train, test = read_score_file(paths["train"]), read_score_file(paths["test"])
     for lambdas in ([0.5], [0.0, 0.5, 1.0]):  # either grid order
         with pytest.raises(ValueError, match=f"^{message}$"):

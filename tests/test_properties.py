@@ -1,5 +1,5 @@
 """Property tests: the vectorized OT core, score map, post-logit scale
-search, sigmoid and top region against loop oracles, the wasserstein
+search, sigmoid, top-k mask and top region against loop oracles, the wasserstein
 baseline's quantile maps against their np.unique form, the rank metrics against
 brute-force pair counts, the transported index sets and the score map psi
 across lambda, the fairpot map on record subsets, and the inverse normal CDF
@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from scipy.special import ndtri
 from scipy.stats import wasserstein_distance
 
-from fairpot._util import sigmoid
+from fairpot._util import ceil_count, sigmoid, top_mask
 from fairpot.baselines import DEFAULT_SCALE_GRID, _group_quantile_maps, fit_post_logit
 from fairpot.datagen import _ndtri
 from fairpot.metrics import (
@@ -26,6 +26,7 @@ from fairpot.metrics import (
     pxauc,
     pxauc_disparity,
     region_cells,
+    select_region,
     top_alpha_region,
     xauc,
     xauc_disparity,
@@ -329,6 +330,50 @@ def test_top_alpha_region_equals_sorting_path(s, alpha):
     assert np.array_equal(got.member_indices, expected.member_indices)
 
 
+# Both signs of zero and the infinities, among any other values.
+top_values = st.one_of(
+    st.sampled_from((0.0, -0.0, 0.5, 1.0, np.inf, -np.inf)), st.floats(allow_nan=False)
+)
+
+
+@given(st.lists(top_values, max_size=40))
+@example([])
+@example([0.5] * 7)  # all equal
+@example([0.0, -0.0, 0.0, -0.0])  # one tie group of both signs
+@example([-0.0, 0.3, 0.0, 0.3, -0.0, np.inf, -np.inf, 0.3])
+def test_top_mask_equals_stable_descending_sort(xs):
+    x = np.array(xs, dtype=float)
+    for k in range(len(x) + 1):
+        expected = np.zeros(len(x), dtype=bool)
+        expected[oracles.sorted_top_positions(x, k)] = True
+        assert np.array_equal(top_mask(x, k), expected)
+
+
+@st.composite
+def draws(draw, n, min_size=0):
+    """Indices into ``n`` records, with repeats, as a bootstrap draw has."""
+    indices = st.lists(st.integers(0, n - 1), min_size=min_size, max_size=2 * n)
+    return np.array(draw(indices), dtype=np.int64)
+
+
+@given(
+    st.one_of(labeled_sets(), tied_sets).flatmap(
+        lambda s: st.tuples(st.just(s), draws(len(s), min_size=1))
+    ),
+    st.sampled_from((1.0, 0.999, 0.7, 0.5, 0.3, 0.05)),
+)
+# the draw repeats tied records of both signs of zero, across the threshold
+@example((labeled_set([0.0, -0.0, 0.5, 0.0], [0, 1, 1, 0], "abab"), np.array([3, 1, 1, 0, 2, 3])),
+         0.5)
+@example((labeled_set([0.5, 0.5, 0.25], [1, 0, 1], "abb"), np.array([2, 1, 0, 1, 0])), 0.3)
+def test_select_region_equals_the_sorted_region_of_the_draw(s_and_draw, alpha):
+    s, draw = s_and_draw
+    expected = draw[oracles.sorted_top_alpha_region(s.subset(draw), alpha).member_indices]
+    got = select_region(s, "partial", alpha, draw)
+    assert got.dtype == expected.dtype
+    assert np.array_equal(got, expected)
+
+
 # Tied scores within and across classes and groups.
 TIED = labeled_set([0.5, 0.5, 0.5, 0.5, 0.25, 0.75, 0.25], [1, 0, 1, 0, 1, 0, 0], "aabbabb")
 # One class only.
@@ -422,6 +467,31 @@ def test_transported_index_sets_nest_in_lambda(a, b, lambdas):
         previous = moved
 
 
+tied_unit_scores = st.lists(
+    st.one_of(st.sampled_from((0.0, -0.0, 0.5, 1.0)), st.floats(0.0, 1.0, allow_subnormal=False)),
+    min_size=1,
+    max_size=40,
+)
+
+
+@given(unit_scores, tied_unit_scores, st.floats(0.0, 1.0))
+@example([0.2, 0.9], [0.0, 0.5, -0.0, 0.5, 0.0], 0.5)
+@example([0.1], [0.5, 0.5, 0.5], 0.4)
+def test_apply_phi_moves_the_sorted_top(a, b, lam):
+    """The moved records are the first ceil(lam * n_b) of a stable
+    descending sort of b; they take their projections, the rest keep their
+    scores, bit for bit."""
+    a, b = np.array(a), np.array(b)
+    plan = fit_transport(a, b)
+    result = apply_phi(b, plan, a, lam)
+    top = oracles.sorted_top_positions(b, ceil_count(lam, len(b)))
+    assert result.transported_index_set.dtype == top.dtype
+    assert np.array_equal(result.transported_index_set, top)
+    expected = b.copy()
+    expected[top] = barycentric_projection(plan, a)[top]
+    assert np.array_equal(bits(result.transported_scores), bits(expected))
+
+
 def psi(a, b, lam):
     """Score map of the group-b training scores moved by ``lam`` onto ``a``."""
     return build_score_map(b, apply_phi(b, fit_transport(a, b), a, lam).transported_scores)
@@ -465,12 +535,6 @@ def test_psi_is_nondecreasing_at_lambda_one(a, b, queries):
     score_map = psi(a, b, 1.0)
     assert np.all(np.diff(score_map.knots_y) >= 0)
     assert np.all(np.diff(apply_psi(score_map, np.sort(queries))) >= 0)
-
-
-@st.composite
-def draws(draw, n):
-    """Indices into ``n`` records, with repeats, as a bootstrap draw has."""
-    return np.array(draw(st.lists(st.integers(0, n - 1), max_size=2 * n)), dtype=np.int64)
 
 
 @given(

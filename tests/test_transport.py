@@ -121,6 +121,16 @@ class TestApplyPhi:
         with pytest.raises(ValueError):
             apply_phi(b, plan, a, 1.5)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scores_rejected(self, small_groups, bad):
+        a, b = small_groups
+        plan = fit_transport(a, b)
+        b = b.copy()
+        b[2] = bad
+        for lam in (0.0, 0.5, 1.0):
+            with pytest.raises(ValueError, match="^scores_b_train must be finite$"):
+                apply_phi(b, plan, a, lam)
+
 
 class TestScoreMap:
     def test_identity_pairs(self):
