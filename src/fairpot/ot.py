@@ -138,12 +138,13 @@ def barycentric_projection(plan: TransportPlan, target_support) -> np.ndarray:
     one contiguous run and repeated pairs keep their plan order;
     ``np.add.reduceat`` over the runs gives every row's coupled mass and
     mass-weighted target sum at once, and
-    ``np.minimum.reduceat``/``np.maximum.reduceat`` its coupled hull. Rows
-    with a single coupled target return that target value exactly; rows with
-    several are clamped to the range of their own targets so the output never
-    leaves the coupled hull by floating-point dust.
+    ``np.minimum.reduceat``/``np.maximum.reduceat`` its coupled hull. Each
+    row is clamped to the range of its own targets, so the output never
+    leaves the coupled hull by floating-point dust, and a row with a single
+    coupled target returns that target value exactly. The target scores must
+    be finite.
     """
-    zt = np.asarray(target_support, dtype=float)
+    zt = _support(target_support, "target")
     if len(zt) != plan.target_n:
         raise ValueError(
             f"target support has {len(zt)} points but plan expects {plan.target_n}"
@@ -156,8 +157,6 @@ def barycentric_projection(plan: TransportPlan, target_support) -> np.ndarray:
     with np.errstate(invalid="ignore"):  # a massless row gives nan, reported below
         avg = np.add.reduceat(mass * vals, starts) / np.add.reduceat(mass, starts)
     row = np.clip(avg, np.minimum.reduceat(vals, starts), np.maximum.reduceat(vals, starts))
-    single = np.diff(starts, append=len(src)) == 1
-    row[single] = vals[starts[single]]
     out = np.full(plan.source_n, np.nan)
     out[src[starts]] = row
     if np.any(np.isnan(out)):

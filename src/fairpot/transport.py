@@ -210,30 +210,30 @@ def fit_and_map(
     moving, reference = _moving_reference(direction)
     require_both_groups(train, "train")
     train = metrics.region_set(train, mode, alpha)
-    mov_train = train.group_scores(moving)
+    mov_train = np.sort(train.group_scores(moving), kind="stable")
     ref_train = train.group_scores(reference)
     if len(mov_train) == 0 or len(ref_train) == 0:
         raise ValueError("top region of the training set is missing a group")
 
-    # Everything but the top-k slice is lambda-independent: project once and
-    # presort the score-map knots and test queries. Pairs are presorted stably
-    # by original score, so each build_score_map merges its tie groups in the
-    # same order as on the unsorted pairs. The top k moving records (ties by
-    # lower index) are taken per lambda by ``_util.top_mask``, the rule that
-    # ``apply_phi`` and the top-alpha region select by.
+    # Everything but the top-k slice is lambda-independent, and all of it
+    # reads one stable sort of the moving cloud: the plan is fitted on it, so
+    # the projection comes out in its order; the top k moving records (ties
+    # toward the lower position, the rule of ``apply_phi`` and the top-alpha
+    # region) are taken from it per lambda; and it is the knots' x. A stable
+    # sort keeps tied scores, zeros of both signs included, in record order,
+    # so the plan, the moved records and each build_score_map's tie merges
+    # are those of the unsorted cloud, bit for bit. Test queries are presorted
+    # too; each is mapped on its own, so their order among ties is free.
     projected = barycentric_projection(fit_transport(ref_train, mov_train), ref_train)
-    knot_order = np.argsort(mov_train, kind="stable")
-    knots_x, projected_y = mov_train[knot_order], projected[knot_order]
     test_at = np.flatnonzero(test.group_mask(moving))
-    test_order = np.argsort(test.scores[test_at], kind="stable")
-    test_at = test_at[test_order]
+    test_at = test_at[np.argsort(test.scores[test_at])]
     queries = test.scores[test_at]
 
     def build(lam: float) -> ScoreSet:
         if lam == 0.0:
             return test
-        moved = top_mask(mov_train, ceil_count(lam, len(mov_train)))[knot_order]
-        score_map = build_score_map(knots_x, np.where(moved, projected_y, knots_x))
+        moved = top_mask(mov_train, ceil_count(lam, len(mov_train)))
+        score_map = build_score_map(mov_train, np.where(moved, projected, mov_train))
         scores = test.scores.copy()
         scores[test_at] = apply_psi(score_map, queries)
         return test.with_scores(scores)

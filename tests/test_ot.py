@@ -175,6 +175,27 @@ class TestBarycentricProjection:
         with pytest.raises(ValueError):
             barycentric_projection(plan, [0.0, 1.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_target_rejected(self, bad):
+        tgt = np.array([0.1, 0.4, 0.3, 0.8])
+        plan = solve_ot_1d([0.2, 0.5, 0.9], tgt)
+        tgt[2] = bad
+        with pytest.raises(ValueError, match="^target support points must be finite$"):
+            barycentric_projection(plan, tgt)
+
+    def test_one_target_per_row_is_returned_exactly(self):
+        # equal sizes couple each source row to one target, whose bits the
+        # row returns whatever its mass-weighted mean rounds to
+        rng = np.random.default_rng(7)
+        tgt = np.concatenate(([0.0, -0.0, 5e-324, -5e-324, 0.1, 1 / 3], rng.uniform(-2, 2, 30)))
+        tgt = rng.permutation(tgt)
+        src = rng.uniform(0.0, 1.0, len(tgt))
+        plan = solve_ot_1d(src, tgt)
+        matched = np.empty_like(tgt)
+        matched[np.argsort(src, kind="stable")] = tgt[np.argsort(tgt, kind="stable")]
+        proj = barycentric_projection(plan, tgt)
+        assert proj.view(np.uint64).tolist() == matched.view(np.uint64).tolist()
+
     @pytest.mark.parametrize("seed", range(8))
     def test_within_target_hull_and_monotone(self, seed):
         rng = np.random.default_rng(500 + seed)

@@ -2,8 +2,8 @@
 search, sigmoid, top-k mask and top region against loop oracles, the wasserstein
 baseline's quantile maps against their np.unique form, the rank metrics against
 brute-force pair counts, the transported index sets and the score map psi
-across lambda, the fairpot map on record subsets, and the inverse normal CDF
-against scipy."""
+across lambda, the fit on a stably sorted moving cloud, the fairpot map on
+record subsets, and the inverse normal CDF against scipy."""
 
 import re
 
@@ -490,6 +490,24 @@ def test_apply_phi_moves_the_sorted_top(a, b, lam):
     expected = b.copy()
     expected[top] = barycentric_projection(plan, a)[top]
     assert np.array_equal(bits(result.transported_scores), bits(expected))
+
+
+@given(tied_unit_scores, tied_unit_scores)
+@example([0.2, -0.0, 0.9, 0.0], [0.0, 0.5, -0.0, 0.5, 0.0, -0.0])
+def test_a_fit_on_the_stably_sorted_cloud_is_the_fit_in_its_order(a, b):
+    """Fitted on b stably sorted, the projection and each top-k mask are the
+    unsorted cloud's taken in that order, bit for bit: tied scores, zeros of
+    both signs included, keep their record order. ``fit_and_map`` reads its
+    moving cloud in this one order."""
+    a, b = np.array(a), np.array(b)
+    order = np.argsort(b, kind="stable")
+    sorted_b = np.sort(b, kind="stable")
+    assert np.array_equal(bits(sorted_b), bits(b[order]))
+    expected = barycentric_projection(solve_ot_1d(b, a), a)[order]
+    got = barycentric_projection(solve_ot_1d(sorted_b, a), a)
+    assert np.array_equal(bits(got), bits(expected))
+    for k in range(len(b) + 1):
+        assert np.array_equal(top_mask(sorted_b, k), top_mask(b, k)[order])
 
 
 def psi(a, b, lam):

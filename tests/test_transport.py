@@ -131,6 +131,14 @@ class TestApplyPhi:
             with pytest.raises(ValueError, match="^scores_b_train must be finite$"):
                 apply_phi(b, plan, a, lam)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_reference_scores_rejected(self, bad):
+        a, b = np.array([0.2, 0.5, 0.9]), np.array([0.1, 0.4, 0.3, 0.8])
+        plan = fit_transport(a, b)
+        a[2] = bad
+        with pytest.raises(ValueError, match="^target support points must be finite$"):
+            apply_phi(b, plan, a, 1.0)
+
 
 class TestScoreMap:
     def test_identity_pairs(self):
@@ -369,10 +377,11 @@ def records(s):
 @pytest.mark.parametrize("direction", ["b_to_a", "a_to_b"])
 @pytest.mark.parametrize("mode", ["global", "partial"])
 def test_sweep_equals_per_lambda_pipeline_with_ties(mode, direction, seed, monkeypatch):
-    # a small score pool ties many train and test scores, inside and across groups;
-    # lambda 1e-15 moves no score but still sends test scores through the clamped map
+    # a small score pool ties many train and test scores, inside and across groups,
+    # zeros of both signs among them; lambda 1e-15 moves no score but still sends
+    # test scores through the clamped map
     rng = np.random.default_rng(950 + seed)
-    pool = rng.random(25)
+    pool = np.append([0.0, -0.0, 1.0], rng.random(25))
     train = oracles.random_score_set(rng, 300, score_pool=pool)
     test = oracles.random_score_set(rng, 200, score_pool=np.append(pool[:15], rng.random(10)))
     lams = [0.0, 1e-15, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0]
