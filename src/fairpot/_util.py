@@ -23,6 +23,12 @@ def ceil_count(fraction: float, n: int) -> int:
     return max(0, min(n, count))
 
 
+def is_sorted(values: np.ndarray) -> bool:
+    """Whether ``values`` is nondecreasing (a NaN makes it not), so that a
+    stable argsort of it is the identity and a gather by that sort a copy."""
+    return bool(np.all(values[:-1] <= values[1:]))
+
+
 def top_mask(scores: np.ndarray, k: int) -> np.ndarray:
     """Mask of the ``k`` highest of ``scores`` (which hold no NaN), ties at
     the k-th taken toward the lower position: the first ``k`` positions of a

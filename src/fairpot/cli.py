@@ -76,8 +76,8 @@ def _synthetic_scored_split(config: ExperimentConfig, seed: int) -> tuple[ScoreS
     def scored(idx: np.ndarray) -> ScoreSet:
         return ScoreSet(
             scores=scorer.score(cohort.features[idx]),
-            labels=cohort.labels[idx].copy(),
-            groups=cohort.groups[idx].copy(),
+            labels=cohort.labels[idx],
+            groups=cohort.groups[idx],
         )
 
     return scored(train_idx), scored(test_idx)

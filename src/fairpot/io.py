@@ -13,11 +13,12 @@ import os
 from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
+from io import BytesIO
 from pathlib import Path
 
 import numpy as np
 
-from .metrics import GROUP_A, GROUP_B, GROUPS, ScoreSet
+from .metrics import GROUPS, ScoreSet
 from .transport import DIRECTIONS, MODES
 
 SCORE_HEADER = ["id", "score", "label", "group"]
@@ -73,12 +74,15 @@ def write_score_file(score_set: ScoreSet, path) -> None:
 def read_score_file(path) -> ScoreSet:
     """Records of a score file, in file order.
 
-    A file in the plain form ``write_score_file`` writes is parsed in bulk.
-    Any other file, and any file with an invalid field or a duplicate id, is
-    read row by row, which raises the error for the first bad row.
+    A file in the plain form ``write_score_file`` writes is parsed in bulk,
+    one block of lines at a time. Any other file, and any file with an
+    invalid field or a duplicate id, is read row by row, which raises the
+    error for the first bad row.
     """
     path = Path(path)
-    records = _parse_plain_score_file(path.read_bytes())
+    with path.open("rb") as fh:
+        # a pipe cannot be read twice: its bytes are parsed from memory
+        records = _parse_plain_score_file(fh if fh.seekable() else BytesIO(fh.read()))
     return records if records is not None else _read_score_rows(path)
 
 
@@ -88,6 +92,13 @@ def read_score_file(path) -> ScoreSet:
 _PLAIN_BYTES = bytes(range(0x20, 0x7F)).replace(b'"', b"") + b"\r\n"
 _HEADER_LINE = ",".join(SCORE_HEADER).encode()
 _NL, _CR, _COMMA, _DOT, _ZERO, _ONE, _A, _B = b"\n\r,.01ab"  # byte values
+# A plain file is read in blocks of this many bytes and parsed one block of
+# whole lines at a time, so a parse's temporaries are a few block-sized
+# arrays whatever the size of the file.
+_BLOCK_BYTES = 1 << 18
+# Bytes of the file kept before each block of lines: the fields' last 8 or
+# 16 bytes are read as words, which may start before the block's first row.
+_LOOKBACK = 16
 # Ids of at most this many bytes are checked for duplicates as sorted integers.
 _ID_KEY_BYTES = 8
 # Masks of the last w bytes of a big-endian word, and of the last w bytes of a
@@ -104,44 +115,111 @@ _BYTES_0F, _BYTES_F0, _BYTES_30, _BYTES_06 = (
 )
 
 
-def _parse_plain_score_file(data: bytes) -> ScoreSet | None:
-    """Records of a plain score file, parsed in bulk, or None for any other
-    file. Plain means: the header line, then one or more lines that each
-    hold one row ``id,score,label,group``; LF or CRLF line ends; no quotes
-    and no blank rows; one-byte labels and groups; scores that ``float``
-    parses into [0, 1]; unique ids. On such a file the row reader gives the
-    same records, bit for bit.
+def _parse_plain_score_file(fh) -> ScoreSet | None:
+    """Records of the plain score file open for binary reading as ``fh``,
+    parsed in bulk, or None for any other file. Plain means: the header
+    line, then one or more lines that each hold one row
+    ``id,score,label,group``; LF or CRLF line ends; no quotes and no blank
+    rows; one-byte labels and groups; scores that ``float`` parses into
+    [0, 1]; unique ids. On such a file the row reader gives the same
+    records, bit for bit.
 
-    Besides ``data``, a parse holds a few arrays of one int64 per row, and
-    one byte mask of its size while it finds the line ends and commas. Each
-    is dropped once it is dead, and the scores are converted in blocks, so a
-    parse peaks at about 3 times the file's size."""
-    if data.translate(None, _PLAIN_BYTES) or not data.startswith(_HEADER_LINE):
+    The rows are counted first, so the records are written once into arrays
+    of their final size, beside one 8-byte key per id of at most 8 bytes
+    that is checked for duplicates at the end. The lines are parsed one
+    block at a time; a parse holds a few block-sized temporaries besides,
+    and a copy of every longer id."""
+    header = fh.readline(len(_HEADER_LINE) + 2)
+    if header not in (_HEADER_LINE + b"\n", _HEADER_LINE + b"\r\n"):
+        return None
+    n = _count_rows(fh)
+    if n == 0:
+        return None
+    fh.seek(len(header))
+    scores, is_pos, in_group_a = np.empty(n), np.empty(n, dtype=bool), np.empty(n, dtype=bool)
+    short_keys = np.empty(n, dtype=np.uint64)
+    long_ids = {}  # by width
+    at = n_short = 0
+    for block in _line_blocks(fh, header):
+        rows = _parse_rows(block)
+        if rows is None or at + len(rows[0]) > n:
+            return None  # not plain, or the file grew since it was counted
+        end = at + len(rows[0])
+        scores[at:end], is_pos[at:end], in_group_a[at:end], keys, ids = rows
+        short_keys[n_short : n_short + len(keys)] = keys
+        n_short += len(keys)
+        for w, same_width in ids.items():
+            long_ids.setdefault(w, []).append(same_width)
+        at = end
+    # Fewer rows: a line too long for csv, or a file that shrank. An id of
+    # at most 8 bytes never equals a longer one.
+    if at != n or not _distinct(short_keys[:n_short]):
+        return None
+    if not all(_distinct(np.concatenate(ids)) for ids in long_ids.values()):
+        return None
+    return ScoreSet._derived(scores, is_pos, in_group_a)
+
+
+def _count_rows(fh) -> int:
+    """Lines left in ``fh`` from its position on, the last one counted
+    whether or not it ends with a line feed."""
+    rows, last = 0, b"\n"
+    while chunk := fh.read(_BLOCK_BYTES):
+        rows += np.count_nonzero(np.frombuffer(chunk, dtype=np.uint8) == _NL)
+        last = chunk[-1:]
+    return rows + (last != b"\n")
+
+
+def _line_blocks(fh, before: bytes):
+    """Each block of whole lines left in ``fh`` (the file's last line may
+    have no line end) behind the ``_LOOKBACK`` bytes of the file before it,
+    which end with a line feed; ``before`` ends with those bytes before the
+    first block. Stops early at a line longer than ``csv.field_size_limit()``,
+    which no plain file holds."""
+    tail, rest = before[-_LOOKBACK:], b""
+    while chunk := fh.read(_BLOCK_BYTES):
+        rest += chunk
+        cut = rest.rfind(b"\n") + 1
+        if cut:
+            block = tail + rest[:cut]
+            tail, rest = block[-_LOOKBACK:], rest[cut:]
+            yield block
+        elif len(rest) > csv.field_size_limit() + 1:  # + 1 for a CR
+            return
+    if rest:
+        yield tail + rest
+
+
+def _parse_rows(data: bytes):
+    """``(scores, is_pos, in_group_a, keys, long_ids)`` of the rows of a
+    block from ``_line_blocks``, or None when one of them is not a plain
+    row; ``keys`` and ``long_ids`` are its ids as ``_id_keys`` gives them."""
+    if data.translate(None, _PLAIN_BYTES):
         return None
     arr = np.frombuffer(data, dtype=np.uint8)
     # A line ends at a LF, or at the CR just before it; the last line may
     # have no line end. A CR elsewhere ends a csv row too: the row reader
     # takes that file.
     mask = arr == _NL  # reused below for the commas
+    mask[: _LOOKBACK - 1] = False  # keep the LF that ends the line before
     newlines = np.flatnonzero(mask)
-    line_ends = newlines
-    n_cr = data.count(b"\r")
+    line_ends = newlines[1:]
+    n_cr = np.count_nonzero(arr[_LOOKBACK:] == _CR)
     if n_cr:
-        crlf = arr[newlines - 1] == _CR
+        crlf = arr[line_ends - 1] == _CR
         if n_cr != np.count_nonzero(crlf):
             return None
-        line_ends = newlines - crlf
+        line_ends = line_ends - crlf
     if not data.endswith(b"\n"):
         line_ends = np.append(line_ends, len(arr))
-    if len(line_ends) < 2 or line_ends[0] != len(_HEADER_LINE):
-        return None
     # each row runs from just after the LF before it to its line end
-    before, ends = newlines[: len(line_ends) - 1], line_ends[1:]
+    before, ends = newlines[: len(line_ends)], line_ends
     if (ends - before).max() - 1 > csv.field_size_limit():
         return None
     # A row's last four bytes are a comma, its label, a comma and its group.
-    # With those commas and the header's cleared, the one comma left in each
-    # row, after the LF before it and before its label comma, ends its id.
+    # With those commas and the ones before the block cleared, the one comma
+    # left in each row, after the LF before it and before its label comma,
+    # ends its id.
     label_comma = ends - 4
     del line_ends, ends
     comma, label, comma2, group = (arr[k:][label_comma] for k in range(4))
@@ -152,7 +230,7 @@ def _parse_plain_score_file(data: bytes) -> ScoreSet | None:
     ):
         return None
     np.equal(arr, _COMMA, out=mask)
-    mask[: len(_HEADER_LINE)] = False
+    mask[:_LOOKBACK] = False
     mask[label_comma] = False
     mask[2:][label_comma] = False  # the group comma, two bytes on
     id_end = np.flatnonzero(mask)
@@ -165,8 +243,7 @@ def _parse_plain_score_file(data: bytes) -> ScoreSet | None:
         return None
     id_width = id_end - before - 1
     del newlines, before
-    if not _ids_unique(data, id_end, id_width):
-        return None
+    keys, long_ids = _id_keys(data, id_end, id_width)
     del id_width
     # the score field runs from just after the id's comma to the label comma
     first = id_end + 1
@@ -181,16 +258,9 @@ def _parse_plain_score_file(data: bytes) -> ScoreSet | None:
         ]
     except ValueError:
         return None
-    del first, label_comma
     if not (scores.min() >= 0.0 and scores.max() <= 1.0):
         return None  # out of range, infinite, or nan, which min and max return
-    in_group_a = group == _A
-    return ScoreSet._derived(
-        scores,
-        (label == _ONE).astype(np.int64),
-        np.where(in_group_a, GROUP_A, GROUP_B),
-        in_group_a=in_group_a,
-    )
+    return scores, label == _ONE, group == _A, keys, long_ids
 
 
 def _words(data: bytes, dtype: str) -> np.ndarray:
@@ -199,24 +269,29 @@ def _words(data: bytes, dtype: str) -> np.ndarray:
     return np.ndarray((len(data) - 7,), dtype=dtype, buffer=data, strides=(1,))
 
 
-def _ids_unique(data: bytes, stops: np.ndarray, width: np.ndarray) -> bool:
-    """Whether the id fields ``data[stops[i] - width[i]:stops[i]]``, each
-    ending at least 8 bytes into ``data``, are distinct."""
-    if width.max() > _ID_KEY_BYTES:
-        starts = (stops - width).tolist()
-        return len({data[a:b] for a, b in zip(starts, stops.tolist())}) == len(stops)
-    # Each id as the big-endian integer of the 8 bytes that end with it, the
-    # bytes before the id zeroed: no id holds a zero byte, so equal keys mean
-    # equal ids.
-    keys = _words(data, ">u8")[stops - 8]
-    keys &= _LOW_BYTES[width]
+def _id_keys(data: bytes, stops: np.ndarray, width: np.ndarray):
+    """``(keys, long_ids)`` of the id fields ``data[stops[i] -
+    width[i]:stops[i]]``, each ending at least 8 bytes into ``data``: the
+    integer key of each id of at most 8 bytes, and by width, each longer id
+    as a fixed-width bytes (``S``) value. No id holds a zero byte, so equal
+    keys, and equal ``S`` values, mean equal ids."""
+    short = width <= _ID_KEY_BYTES
+    # the big-endian integer of the 8 bytes that end with the id, the bytes
+    # before the id zeroed
+    keys = _words(data, ">u8")[stops[short] - 8]
+    keys &= _LOW_BYTES[width[short]]
+    # ids of different widths differ, so each width is one unpadded array
+    long_ids = {}
+    for w in set(width[~short].tolist()):
+        at = (stops[width == w] - w)[:, None] + np.arange(w)
+        long_ids[w] = np.frombuffer(data, dtype=np.uint8)[at].view(f"S{w}").ravel()
+    return keys, long_ids
+
+
+def _distinct(keys: np.ndarray) -> bool:
+    """Whether ``keys`` holds no value twice; sorts it in place."""
     keys.sort()
     return not np.any(keys[1:] == keys[:-1])
-
-
-# Fields converted per block: the conversion's temporaries are a few arrays
-# of this many words, whatever the size of the file.
-_BLOCK_FIELDS = 1 << 13
 
 
 def _canonical_decimals(data: bytes, first: np.ndarray, stop: np.ndarray):
@@ -231,23 +306,15 @@ def _canonical_decimals(data: bytes, first: np.ndarray, stop: np.ndarray):
     10**k. Both are exact binary64 values, so one IEEE division returns the
     decimal correctly rounded, as ``float()`` does (W. D. Clinger, "How to
     Read Floating Point Numbers Accurately", PLDI 1990). The digits are read
-    8 at a time from the two 8-byte words that end with the field, one block
-    of fields at a time."""
+    8 at a time from the two 8-byte words that end with the field."""
     arr = np.frombuffer(data, dtype=np.uint8)
     words = _words(data, "<u8")
-    values = np.empty(len(first))
-    bulk = np.empty(len(first), dtype=bool)
-    for at in range(0, len(first), _BLOCK_FIELDS):
-        block = slice(at, at + _BLOCK_FIELDS)
-        a, b = first[block], stop[block]
-        k = b - a - 2
-        ok = (k >= 1) & (k <= _MAX_DIGITS) & (arr[a] == _ZERO) & (arr[a + 1] == _DOT)
-        low, low_ok = _eight_digits(words[b - 8], np.clip(k, 0, 8))
-        high, high_ok = _eight_digits(words[b - 16], np.clip(k - 8, 0, 8))
-        bulk[block] = ok & low_ok & high_ok
-        digits = high * np.uint64(10**8) + low
-        values[block] = digits.astype(float) / _POW10[np.clip(k, 0, _MAX_DIGITS)]
-    return values, bulk
+    k = stop - first - 2
+    ok = (k >= 1) & (k <= _MAX_DIGITS) & (arr[first] == _ZERO) & (arr[first + 1] == _DOT)
+    low, low_ok = _eight_digits(words[stop - 8], np.clip(k, 0, 8))
+    high, high_ok = _eight_digits(words[stop - 16], np.clip(k - 8, 0, 8))
+    digits = high * np.uint64(10**8) + low
+    return digits.astype(float) / _POW10[np.clip(k, 0, _MAX_DIGITS)], ok & low_ok & high_ok
 
 
 def _eight_digits(words: np.ndarray, n: np.ndarray):

@@ -57,17 +57,26 @@ def _all_in(values: np.ndarray, allowed: tuple, kinds: str) -> bool:
     )
 
 
-@dataclass(frozen=True, eq=False)
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class ScoreSet:
-    """Ordered collection of scored records backed by parallel arrays."""
+    """Ordered collection of scored records, built from parallel arrays of
+    scores, 0/1 labels and ``GROUPS`` tags. A record is stored as 10 bytes:
+    its float64 score and two bool masks, ``is_pos`` (label 1) and
+    ``in_group_a`` (every other record is in group b). All three arrays are
+    read-only; a set of the same records with new scores shares the masks."""
 
     scores: np.ndarray
-    labels: np.ndarray
-    groups: np.ndarray
+    is_pos: np.ndarray
+    in_group_a: np.ndarray
 
-    def __post_init__(self) -> None:
-        scores = np.asarray(self.scores, dtype=float)
-        labels, groups = np.asarray(self.labels), np.asarray(self.groups)
+    def __init__(self, scores, labels, groups) -> None:
+        scores = np.asarray(scores, dtype=float)
+        labels, groups = np.asarray(labels), np.asarray(groups)
         if not (scores.ndim == labels.ndim == groups.ndim == 1):
             raise ValueError("scores, labels and groups must be 1-dimensional")
         if not (len(scores) == len(labels) == len(groups)):
@@ -77,27 +86,33 @@ class ScoreSet:
             raise ValueError("labels must be 0 or 1")
         if not _all_in(groups, GROUPS, "UO"):
             raise ValueError(f"groups must be one of {GROUPS}")
-        labels, groups = labels.astype(np.int64, copy=False), groups.astype("U1", copy=False)
-        for name, arr in (("scores", scores), ("labels", labels), ("groups", groups)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        # cast only once checked: a cast to int64 or one character would turn
+        # 0.5 into 0 and "ab" into "a"
+        is_pos = labels.astype(np.int64, copy=False) == 1
+        in_group_a = groups.astype("U1", copy=False) == GROUP_A
+        for name, arr in (("scores", scores), ("is_pos", is_pos), ("in_group_a", in_group_a)):
+            object.__setattr__(self, name, _read_only(arr))
 
     def __len__(self) -> int:
         return len(self.scores)
 
-    @cached_property
-    def in_group_a(self) -> np.ndarray:
-        """Read-only mask of the group-a records; every other record is in
-        group b. Computed once, and carried over to derived sets."""
-        mask = self.groups == GROUP_A
-        mask.setflags(write=False)
-        return mask
+    @property
+    def labels(self) -> np.ndarray:
+        """The records' labels, as a read-only int64 array of 0s and 1s made
+        on each call."""
+        return _read_only(self.is_pos.astype(np.int64))
+
+    @property
+    def groups(self) -> np.ndarray:
+        """The records' groups, as a read-only one-character (``U1``) array
+        made on each call."""
+        return _read_only(np.where(self.in_group_a, GROUP_A, GROUP_B))
 
     @cached_property
     def cells(self) -> dict[tuple[int, str], np.ndarray]:
         """Positions of the records of each (label, group) cell, in record
         order. Shared by sets that hold the same records' labels and groups."""
-        masks = _cell_masks(self.labels == 1, self.in_group_a)
+        masks = _cell_masks(self.is_pos, self.in_group_a)
         return {cell: np.flatnonzero(mask) for cell, mask in masks.items()}
 
     @cached_property
@@ -116,16 +131,14 @@ class ScoreSet:
         return self.scores[self.group_mask(group)]
 
     @classmethod
-    def _derived(cls, scores, labels, groups, **cached) -> "ScoreSet":
+    def _derived(cls, scores, is_pos, in_group_a, **cached) -> "ScoreSet":
         """Set over already-validated records, such as records taken from
-        another set: the checks in ``__post_init__`` are not rerun. The arrays
-        are made read-only; ``cached`` presets cached properties
-        (``in_group_a``, ``cells``, ``pair_counts``) that must hold for these
-        records."""
+        another set: the checks of ``__init__`` are not rerun. The arrays are
+        made read-only; ``cached`` presets cached properties (``cells``,
+        ``pair_counts``) that must hold for these records."""
         out = object.__new__(cls)
-        for name, arr in (("scores", scores), ("labels", labels), ("groups", groups)):
-            arr.setflags(write=False)
-            object.__setattr__(out, name, arr)
+        for name, arr in (("scores", scores), ("is_pos", is_pos), ("in_group_a", in_group_a)):
+            object.__setattr__(out, name, _read_only(arr))
         for arr in cached.values():
             if isinstance(arr, np.ndarray):
                 arr.setflags(write=False)
@@ -137,23 +150,19 @@ class ScoreSet:
         idx = np.asarray(indices, dtype=np.int64)
         if idx.ndim != 1:
             raise ValueError("indices must be 1-dimensional")
-        return ScoreSet._derived(
-            self.scores[idx], self.labels[idx], self.groups[idx], in_group_a=self.in_group_a[idx]
-        )
+        return ScoreSet._derived(self.scores[idx], self.is_pos[idx], self.in_group_a[idx])
 
     def with_scores(self, scores: np.ndarray) -> "ScoreSet":
         """The same records holding ``scores``, one per record in record order.
-        Labels, groups and their group mask are shared with this set, and so
-        are its cells once this set holds them; no set computes cells it
-        never reads."""
+        The label and group masks are shared with this set, and so are its
+        cells once this set holds them; no set computes cells it never
+        reads."""
         scores = np.asarray(scores, dtype=float)
         if scores.shape != self.scores.shape:
             raise ValueError(f"expected {len(self)} scores, got {scores.shape}")
         _check_scores(scores)
-        cached = {"in_group_a": self.in_group_a}
-        if "cells" in self.__dict__:
-            cached["cells"] = self.cells
-        return ScoreSet._derived(scores, self.labels, self.groups, **cached)
+        cached = {"cells": self.cells} if "cells" in self.__dict__ else {}
+        return ScoreSet._derived(scores, self.is_pos, self.in_group_a, **cached)
 
     def replace_group_scores(self, group: str, new_scores: np.ndarray) -> "ScoreSet":
         """The same records, as ``with_scores`` gives them, with one group's
@@ -372,7 +381,7 @@ def region_cells(s: ScoreSet, region: np.ndarray | None) -> dict[tuple[int, str]
     copy of the region's scores, labels or groups is kept."""
     if region is None:
         return s.cells
-    masks = _cell_masks(s.labels[region] == 1, s.in_group_a[region])
+    masks = _cell_masks(s.is_pos[region], s.in_group_a[region])
     return {cell: region[np.flatnonzero(mask)] for cell, mask in masks.items()}
 
 
@@ -399,9 +408,9 @@ def evaluate_cells(
         run.sort()
         runs[cell] = run
         start += size
-    labels = np.repeat(np.array([label for label, _ in cells], dtype=np.int64), sizes)
-    groups = np.repeat(np.array([group for _, group in cells], dtype="U1"), sizes)
-    s = ScoreSet._derived(ranked, labels, groups, pair_counts=PairCounts.of_ranked(runs))
+    is_pos = np.repeat([label == 1 for label, _ in cells], sizes)
+    in_group_a = np.repeat([group == GROUP_A for _, group in cells], sizes)
+    s = ScoreSet._derived(ranked, is_pos, in_group_a, pair_counts=PairCounts.of_ranked(runs))
     if mode == "global":
         return auc(s), xauc_disparity(s)
     whole = top_alpha_region(s, 1.0)

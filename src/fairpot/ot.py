@@ -21,6 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._util import is_sorted
+
 _MARGINAL_TOL = 1e-10
 
 
@@ -78,20 +80,24 @@ class TransportPlan:
         return gamma
 
 
-def _monotone_levels(n: int, m: int) -> np.ndarray:
+def _monotone_levels(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Grid levels of the monotone coupling of ``n`` sorted source points onto
     ``m`` sorted target points, in integer units of 1/(n*m): a source point
     holds m units and a target point n. Every interval between consecutive
     grid levels belongs to exactly one source point and one target point, the
     first ones whose cumulative units reach the interval's upper end. Returns
-    the upper ends, ascending.
+    the upper ends, ascending, and each interval's length in units.
     """
     # A stable sort merges the two sorted runs of cumulative units in linear
     # time (np.union1d takes a much slower hash path on int64); a level both
     # runs share adds no interval.
-    cu, cv = np.arange(1, n + 1, dtype=np.int64) * m, np.arange(1, m + 1, dtype=np.int64) * n
-    levels = np.sort(np.concatenate((cu, cv)), kind="stable")
-    return levels[np.diff(levels, prepend=0) > 0]
+    levels = np.concatenate(
+        (np.arange(1, n + 1, dtype=np.int64) * m, np.arange(1, m + 1, dtype=np.int64) * n)
+    )
+    levels.sort(kind="stable")
+    units = np.diff(levels, prepend=0)
+    keep = units > 0
+    return levels[keep], units[keep]
 
 
 def solve_ot_1d(source_support, target_support) -> TransportPlan:
@@ -100,26 +106,34 @@ def solve_ot_1d(source_support, target_support) -> TransportPlan:
 
     Both supports are sorted ascending, mass is matched monotonically, and the
     resulting triples are mapped back to the original index order. The masses
-    are exact multiples of 1/(n*m).
+    are exact multiples of 1/(n*m). A support given in ascending order is not
+    sorted again, and each temporary is dropped once it is dead.
     """
     zs, zt = _support(source_support, "source"), _support(target_support, "target")
     n, m = len(zs), len(zt)
-    src_order = np.argsort(zs, kind="stable")
-    tgt_order = np.argsort(zt, kind="stable")
+    levels, units = _monotone_levels(n, m)
+    mass = units * (1.0 / (n * m))
+    del units
     # The first source point whose cumulative units reach a level L is the
     # one numbered ceil(L / m), at rank (L - 1) // m; likewise for targets.
-    levels = _monotone_levels(n, m)
-    src_idx = src_order[(levels - 1) // m]
-    tgt_idx = tgt_order[(levels - 1) // n]
-    mass = np.diff(levels, prepend=0) * (1.0 / (n * m))
+    # A stable sort of an ascending support is the identity: each rank is
+    # the point's index.
+    levels -= 1
+    src_idx = levels // m
+    if not is_sorted(zs):
+        src_idx = np.argsort(zs, kind="stable")[src_idx]
+    tgt_idx = levels // n
+    del levels
+    if not is_sorted(zt):
+        tgt_idx = np.argsort(zt, kind="stable")[tgt_idx]
     # every (source, target) pair occurs once, so any sort gives one order
     order = np.argsort(src_idx * m + tgt_idx)
+    src_idx = src_idx[order]
+    tgt_idx = tgt_idx[order]
+    mass = mass[order]
+    del order
     return TransportPlan(
-        source_idx=src_idx[order],
-        target_idx=tgt_idx[order],
-        masses=mass[order],
-        source_n=n,
-        target_n=m,
+        source_idx=src_idx, target_idx=tgt_idx, masses=mass, source_n=n, target_n=m
     )
 
 
@@ -134,8 +148,9 @@ def plan_cost(plan: TransportPlan, source_support, target_support) -> float:
 def barycentric_projection(plan: TransportPlan, target_support) -> np.ndarray:
     """Map each source point to the mass-weighted mean of its coupled targets.
 
-    The triples are sorted stably by (source, target), so each source row is
-    one contiguous run and repeated pairs keep their plan order;
+    The triples are sorted stably by (source, target), unless they are in
+    that order already, so each source row is one contiguous run and
+    repeated pairs keep their plan order;
     ``np.add.reduceat`` over the runs gives every row's coupled mass and
     mass-weighted target sum at once, and
     ``np.minimum.reduceat``/``np.maximum.reduceat`` its coupled hull. Each
@@ -149,10 +164,14 @@ def barycentric_projection(plan: TransportPlan, target_support) -> np.ndarray:
         raise ValueError(
             f"target support has {len(zt)} points but plan expects {plan.target_n}"
         )
-    order = np.argsort(plan.source_idx * plan.target_n + plan.target_idx, kind="stable")
-    src = plan.source_idx[order]
-    vals = zt[plan.target_idx[order]]
-    mass = plan.masses[order]
+    src, tgt, mass = plan.source_idx, plan.target_idx, plan.masses
+    key = src * plan.target_n + tgt
+    if not is_sorted(key):  # a plan of solve_ot_1d is in order already
+        order = np.argsort(key, kind="stable")
+        src, tgt, mass = src[order], tgt[order], mass[order]
+        del order
+    del key
+    vals = zt[tgt]
     starts = np.flatnonzero(np.diff(src, prepend=-1))  # first triple of each row
     with np.errstate(invalid="ignore"):  # a massless row gives nan, reported below
         avg = np.add.reduceat(mass * vals, starts) / np.add.reduceat(mass, starts)

@@ -19,7 +19,7 @@ from typing import Callable, Iterator, Literal
 import numpy as np
 
 from . import metrics
-from ._util import ceil_count, top_mask
+from ._util import ceil_count, is_sorted, top_mask
 from .metrics import GROUP_A, GROUP_B, ScoreSet, require_both_groups
 from .ot import TransportPlan, barycentric_projection, solve_ot_1d
 from .pareto import TradeoffPoint
@@ -139,13 +139,16 @@ def build_score_map(original_train, transported_train) -> ScoreMap:
         raise ValueError("cannot build a score map from no training pairs")
     if len(x) != len(y):
         raise ValueError("original and transported score vectors must align")
-    order = np.argsort(x, kind="stable")
-    xs, ys = x[order], y[order]
+    xs, ys = x, y
+    if not is_sorted(x):  # fit_and_map's pairs are in order already
+        order = np.argsort(x, kind="stable")
+        xs, ys = x[order], y[order]
+        del order
     # each tie group is one run of the sorted pairs, in their stable order
     start = np.flatnonzero(np.append(True, xs[1:] != xs[:-1]))
-    counts = np.diff(start, append=len(xs))
-    means = np.add.reduceat(ys, start) / counts
-    knots_y = np.clip(means, np.minimum.reduceat(ys, start), np.maximum.reduceat(ys, start))
+    knots_y = np.add.reduceat(ys, start)
+    knots_y /= np.diff(start, append=len(xs))  # each group's mean
+    np.clip(knots_y, np.minimum.reduceat(ys, start), np.maximum.reduceat(ys, start), out=knots_y)
     return ScoreMap(knots_x=xs[start], knots_y=knots_y)
 
 
@@ -210,7 +213,8 @@ def fit_and_map(
     moving, reference = _moving_reference(direction)
     require_both_groups(train, "train")
     train = metrics.region_set(train, mode, alpha)
-    mov_train = np.sort(train.group_scores(moving), kind="stable")
+    mov_train = train.group_scores(moving)
+    mov_train.sort(kind="stable")
     ref_train = train.group_scores(reference)
     if len(mov_train) == 0 or len(ref_train) == 0:
         raise ValueError("top region of the training set is missing a group")

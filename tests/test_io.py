@@ -3,6 +3,9 @@
 import csv
 import json
 import math
+import os
+import threading
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,6 +25,7 @@ from fairpot.io import (
     write_sweep_results,
     write_sweep_summary,
 )
+from fairpot import io as fairpot_io
 from fairpot.io import _canonical_decimals
 from fairpot.metrics import ScoreSet
 from fairpot.svg import render_tradeoff_svg
@@ -234,6 +238,21 @@ def test_field_over_the_csv_limit(tmp_path):
     assert _read(read_score_file, path)[0] is csv.Error
 
 
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_score_file_from_a_pipe(tmp_path):
+    # a pipe cannot be read twice, so it is not counted and parsed in two passes
+    rng = np.random.default_rng(55)
+    path, pipe = tmp_path / "scores.csv", tmp_path / "pipe"
+    write_score_file(oracles.random_score_set(rng, 500), path)
+    os.mkfifo(pipe)
+    writer = threading.Thread(target=lambda: pipe.write_bytes(path.read_bytes()), daemon=True)
+    writer.start()
+    got = _read(read_score_file, pipe)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert got == _read(oracles.loop_read_score_file, path)
+
+
 def test_plain_files_are_parsed_in_bulk(tmp_path, monkeypatch):
     rng = np.random.default_rng(53)
     s = oracles.random_score_set(rng, 300, score_pool=np.round(rng.random(40), 10))
@@ -305,6 +324,71 @@ def test_read_score_file_equals_row_loop(tmp_path_factory, data):
     path = tmp_path_factory.mktemp("scores") / "scores.csv"
     path.write_bytes(data)
     assert _read(read_score_file, path) == _read(oracles.loop_read_score_file, path)
+
+
+# Rows for a parse in 64-byte blocks: ids of 1 to 14 bytes, scores in the
+# writer's form and others that float() parses, each line ended by LF or CRLF.
+_EDGE_ID = st.text(alphabet="abcxyz0189-_.", min_size=1, max_size=14)
+_EDGE_SCORE = st.one_of(
+    st.floats(0.0, 1.0).map(lambda x: format(x, ".10g")),
+    st.floats(0.0, 1.0).map(repr),
+    st.sampled_from(["0", "1", "1.0", "5e-1", "0.50", "-0.0", "0.12345678901234567"]),
+)
+
+
+@st.composite
+def block_edge_files(draw):
+    """``(file bytes, plain)``: a score file whose rows straddle 64-byte
+    block edges, and whether it is in contract. At most one quirk: a
+    duplicate id, far from its first use or not, or a score out of range."""
+    ids = draw(st.lists(_EDGE_ID, min_size=1, max_size=24, unique=True))
+    rows = [[rid, draw(_EDGE_SCORE), draw(st.sampled_from("01")), draw(st.sampled_from("ab"))]
+            for rid in ids]
+    quirk = draw(st.sampled_from([None, None, "duplicate id", "score out of range"]))
+    if quirk == "duplicate id" and len(rows) > 1:
+        first, again = sorted(draw(st.lists(st.integers(0, len(rows) - 1), min_size=2,
+                                            max_size=2, unique=True)))
+        rows[again][0] = rows[first][0]
+    elif quirk == "score out of range":
+        rows[draw(st.integers(0, len(rows) - 1))][1] = draw(
+            st.sampled_from(["1.5", "-0.5", "1.0000000001", "nan", "inf"])
+        )
+    else:
+        quirk = None
+    ends = st.sampled_from(["\n", "\r\n"])
+    text = HEADER + draw(ends)
+    text += "".join(",".join(row) + draw(ends) for row in rows[:-1]) + ",".join(rows[-1])
+    text += draw(st.sampled_from(["", "\n", "\r\n"]))
+    return text.encode(), quirk is None
+
+
+@settings(max_examples=300)
+@given(block_edge_files())
+# an id of 8 bytes and one of 9, each repeated two blocks on
+@example(((HEADER + "\nabcdefgh,0.25,1,a\nabcdefghi,0.5,0,b\n"
+           + "".join(f"x{i},0.1,0,a\n" for i in range(8))
+           + "abcdefgh,0.75,0,b\nabcdefghi,0.5,0,b\n").encode(), False))
+# distinct long ids that share their first or last 10 bytes
+@example(((HEADER + "\nxabcdefghij,0.5,1,a\nyabcdefghij,0.5,1,a\n"
+           + "abcdefghijx,0.5,1,a\nabcdefghijy,0.5,1,a\n").encode(), True))
+# a 16-digit score near a block edge, CRLF line ends, no line end at the end
+@example(((HEADER + "\r\n" + "".join(f"r{i},0.5,1,a\r\n" for i in range(4))
+           + "r4,0.1234567890123456,0,b\r\nr5,0.5,1,a").encode(), True))
+def test_block_parse_equals_the_row_reader(tmp_path_factory, case):
+    """Parsed in 64-byte blocks, a plain file gives the row reader's records
+    bit for bit without falling back to it, and any other file its exact
+    line-numbered error."""
+    data, plain = case
+    path = tmp_path_factory.mktemp("scores") / "scores.csv"
+    path.write_bytes(data)
+    with mock.patch.object(fairpot_io, "_BLOCK_BYTES", 64):
+        with path.open("rb") as fh:
+            bulk = fairpot_io._parse_plain_score_file(fh)
+        got = _read(read_score_file, path)
+    assert (bulk is not None) == plain
+    assert got == _read(fairpot_io._read_score_rows, path)
+    if not plain:
+        assert got[0] is ScoreFileError and got[1].startswith(f"{path}:")
 
 
 class TestSweepResultFile:

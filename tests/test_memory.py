@@ -11,8 +11,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from fairpot import io
 from fairpot.cli import main
 from fairpot.io import read_score_file, write_score_file
+from fairpot.transport import fit_and_map
 
 import oracles
 
@@ -67,6 +69,37 @@ def test_plain_score_file_parse_peaks_at_four_times_its_bytes(tmp_path):
     write_score_file(oracles.random_score_set(rng, 50_000), path)
     size = path.stat().st_size
     assert traced_peak(lambda: read_score_file(path)) <= 4 * size
+
+
+def test_plain_score_file_parse_holds_its_records_and_one_block_of_temporaries(tmp_path):
+    # A parse keeps 10 bytes per record (a float64 score and two bool masks)
+    # and an 8-byte key per id of at most 8 bytes; everything else it holds
+    # is sized by the block it reads, so what is left is the same fixed
+    # allowance for a file 8 times larger.
+    rng = np.random.default_rng(72)
+    for n in (50_000, 400_000):
+        path = tmp_path / f"scores_{n}.csv"
+        write_score_file(oracles.random_score_set(rng, n), path)
+        kept = (10 + 8) * n
+        assert traced_peak(lambda: read_score_file(path)) - kept <= 10 * io._BLOCK_BYTES
+
+
+def test_fairpot_fit_holds_a_fixed_number_of_moving_clouds():
+    # The fit and one pass over its mapped sets, above the train and test
+    # sets, where a cloud is the moving group's training scores as float64:
+    # the two clouds, the OT plan's three arrays of about two clouds each
+    # (one triple per moving and reference score) and the projection's
+    # temporaries, about 15 clouds in all. A fit that sorts and gathers its
+    # already sorted cloud and plan again takes about 24.
+    rng = np.random.default_rng(73)
+    train, test = (oracles.random_score_set(rng, N_RECORDS) for _ in range(2))
+    cloud = 8 * np.count_nonzero(train.group_mask("b"))
+
+    def fit_and_walk():
+        for _ in fit_and_map(train, test, [0.0, 0.3, 1.0]):
+            pass
+
+    assert traced_peak(fit_and_walk) <= 18 * cloud
 
 
 def test_fairpot_sweep_memory_does_not_grow_with_the_lambda_count(score_files):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from fairpot.io import read_score_file, write_score_file
 from fairpot.metrics import (
     GROUP_A,
     GROUP_B,
@@ -52,12 +53,39 @@ class TestScoreSet:
         s = make_set([0.2, 0.9, 0.5], [1, 0, 1], ["a", "b", "a"])
         derived = (s.subset([2, 0, 2]), s.replace_group_scores(GROUP_B, np.array([0.1])))
         for d in derived:
-            for arr in (d.scores, d.labels, d.groups):
+            for arr in (d.scores, d.is_pos, d.in_group_a, d.labels, d.groups):
                 assert not arr.flags.writeable
         assert derived[0].scores is not s.scores
-        # replacing scores keeps the records: labels and groups are shared
-        assert derived[1].labels is s.labels and derived[1].groups is s.groups
+        # replacing scores keeps the records: their label and group masks are shared
+        assert derived[1].is_pos is s.is_pos and derived[1].in_group_a is s.in_group_a
         assert list(derived[1].scores) == [0.2, 0.1, 0.5]
+
+    @pytest.mark.parametrize(
+        "path", ["init", "subset", "with_scores", "replace_group_scores", "parse"]
+    )
+    def test_labels_and_groups_read_back_as_given(self, path, tmp_path):
+        # a record is stored as its score and two masks; labels and groups
+        # are derived from the masks with the dtypes they were given in
+        labels, groups = [1, 0, 1, 0], ["a", "b", "b", "a"]
+        s = make_set([0.2, 0.9, 0.5, 0.4], labels, groups)
+        if path == "parse":
+            write_score_file(s, tmp_path / "scores.csv")
+        picks = [3, 1, 1] if path == "subset" else range(4)
+        built = {
+            "init": lambda: s,
+            "subset": lambda: s.subset(picks),
+            "with_scores": lambda: s.with_scores(np.array([0.1, 0.2, 0.3, 0.4])),
+            "replace_group_scores": lambda: s.replace_group_scores(GROUP_B, np.array([0.7, 0.8])),
+            "parse": lambda: read_score_file(tmp_path / "scores.csv"),
+        }[path]()
+        for arr, want, dtype in (
+            (built.labels, [labels[i] for i in picks], np.int64),
+            (built.groups, [groups[i] for i in picks], "U1"),
+            (built.is_pos, [labels[i] == 1 for i in picks], bool),
+            (built.in_group_a, [groups[i] == "a" for i in picks], bool),
+        ):
+            assert arr.dtype == np.dtype(dtype) and arr.tolist() == want
+            assert not arr.flags.writeable
 
     def test_with_scores_shares_cells_once_computed(self):
         s = make_set([0.2, 0.9, 0.5], [1, 0, 1], ["a", "b", "a"])

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from fairpot import cli, transport
-from fairpot.io import METHODS
+from fairpot.io import METHODS, read_score_file
 
 from test_cli import write_golden_inputs
 
@@ -82,3 +82,15 @@ def test_every_traced_name_is_called_on_the_cli_paths(tmp_path):
     assert [
         t.name for t in tracer.TARGETS if t.name not in NOT_ON_THE_CLI_PATH and not calls[t.name]
     ] == []
+
+
+def test_score_set_key_of_a_parsed_set_is_unchanged(tmp_path):
+    # The key hashes the scores, int64 labels and one-character groups; a
+    # set that stores its labels and groups as masks must hash the same
+    # bytes. The digest is the one this file gave when they were stored as
+    # int64 and U1 arrays.
+    path = tmp_path / "scores.csv"
+    path.write_bytes(
+        b"id,score,label,group\nr0,0.75,1,a\nr1,0.25,0,b\nlong-id-123,0.5,1,b\r\nr3,5e-1,0,a"
+    )
+    assert tracer._score_set_key(read_score_file(path)) == "8fafaa744d6133ab6aca1bad68cca6c09e250662"

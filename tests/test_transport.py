@@ -308,7 +308,7 @@ def test_mapped_sets_are_rebuilt_bit_for_bit_on_every_pass(mode):
     assert [lam for lam, _ in first] == [lam for lam, _ in second] == lambdas
     for (_, scores), (_, s) in zip(first, second):
         assert scores.view(np.uint64).tolist() == s.scores.view(np.uint64).tolist()
-        assert s.labels is test.labels and s.groups is test.groups
+        assert s.is_pos is test.is_pos and s.in_group_a is test.in_group_a
     assert second[0][1] is test  # lambda 0 maps nothing
 
 
