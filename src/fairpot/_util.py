@@ -23,6 +23,14 @@ def ceil_count(fraction: float, n: int) -> int:
     return max(0, min(n, count))
 
 
+def position_dtype(n: int) -> type:
+    """The dtype of an array of positions in ``[0, n)`` that is kept between
+    steps: int32 for a set of fewer than 2**31 records, int64 from there.
+    Positions are only ever used to index; any sum or product of them is to
+    be taken in int64, since int32 arithmetic wraps silently."""
+    return np.int32 if n < 2**31 else np.int64
+
+
 def is_sorted(values: np.ndarray) -> bool:
     """Whether ``values`` is nondecreasing (a NaN makes it not), so that a
     stable argsort of it is the identity and a gather by that sort a copy."""

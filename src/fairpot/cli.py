@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines, metrics, transport
+from ._util import position_dtype
 from .datagen import (
     STAGE_BOOTSTRAP,
     STAGE_SPLIT,
@@ -85,9 +86,13 @@ def _synthetic_scored_split(config: ExperimentConfig, seed: int) -> tuple[ScoreS
 
 def _bootstrap_draw(config: ExperimentConfig, n: int, rep: int) -> np.ndarray | None:
     """Indices of replicate ``rep``'s test records in file mode: ``n`` draws
-    with replacement, or None (every record once) when ``bootstrap_n`` is 0."""
+    with replacement, or None (every record once) when ``bootstrap_n`` is 0.
+    They are drawn in ``_util.position_dtype(n)``, 4 bytes per drawn record
+    below 2**31 records; the region and cells taken from them inherit it.
+    Drawn as int32, they are the values an int64 draw takes from the stream."""
     if config.bootstrap_n > 0:
-        return stream(config.seed, STAGE_BOOTSTRAP, rep).integers(0, n, size=n)
+        draws = stream(config.seed, STAGE_BOOTSTRAP, rep)
+        return draws.integers(0, n, size=n, dtype=position_dtype(n))
     return None
 
 

@@ -31,7 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._util import ceil_count, top_mask
+from ._util import ceil_count, position_dtype, top_mask
 
 GROUP_A = "a"
 GROUP_B = "b"
@@ -111,9 +111,13 @@ class ScoreSet:
     @cached_property
     def cells(self) -> dict[tuple[int, str], np.ndarray]:
         """Positions of the records of each (label, group) cell, in record
-        order. Shared by sets that hold the same records' labels and groups."""
+        order, 4 bytes each below 2**31 records (``_util.position_dtype``).
+        Shared by sets that hold the same records' labels and groups."""
         masks = _cell_masks(self.is_pos, self.in_group_a)
-        return {cell: np.flatnonzero(mask) for cell, mask in masks.items()}
+        dtype = position_dtype(len(self))
+        return {
+            cell: np.flatnonzero(mask).astype(dtype, copy=False) for cell, mask in masks.items()
+        }
 
     @cached_property
     def pair_counts(self) -> "PairCounts":
@@ -146,8 +150,11 @@ class ScoreSet:
         return out
 
     def subset(self, indices: np.ndarray) -> "ScoreSet":
-        """New set containing the records at ``indices``, in the given order."""
-        idx = np.asarray(indices, dtype=np.int64)
+        """New set containing the records at ``indices``, in the given order.
+        Signed integer indices of any width are used as given, not copied."""
+        idx = np.asarray(indices)
+        if idx.dtype.kind != "i":
+            idx = idx.astype(np.int64)
         if idx.ndim != 1:
             raise ValueError("indices must be 1-dimensional")
         return ScoreSet._derived(self.scores[idx], self.is_pos[idx], self.in_group_a[idx])
@@ -205,7 +212,9 @@ class TopAlphaRegion:
     """The ceil(alpha * N) highest-scoring indices of a ScoreSet.
 
     Ties at the threshold are broken toward lower original index so the region
-    always contains exactly ``n_alpha`` members.
+    always contains exactly ``n_alpha`` members. ``member_indices`` is kept
+    read-only, in the ``_util.position_dtype`` of the smallest set it can
+    index, one record past its largest member: 4 bytes each below 2**31.
     """
 
     alpha: float
@@ -214,7 +223,8 @@ class TopAlphaRegion:
     member_indices: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        idx = np.asarray(self.member_indices, dtype=np.int64)
+        idx = np.asarray(self.member_indices)
+        idx = idx.astype(position_dtype(int(idx.max()) + 1 if idx.size else 0), copy=False)
         idx.setflags(write=False)
         object.__setattr__(self, "member_indices", idx)
         if len(idx) != self.n_alpha:
@@ -364,7 +374,7 @@ def select_region(
     if len(scores) < 1:
         raise ValueError("cannot take a top region of an empty ScoreSet")
     top = np.flatnonzero(top_mask(scores, max(1, ceil_count(alpha, len(scores)))))
-    return top if draw is None else draw[top]
+    return top.astype(position_dtype(len(s)), copy=False) if draw is None else draw[top]
 
 
 def region_set(s: ScoreSet, mode: str, alpha: float | None) -> ScoreSet:
@@ -377,8 +387,10 @@ def region_set(s: ScoreSet, mode: str, alpha: float | None) -> ScoreSet:
 def region_cells(s: ScoreSet, region: np.ndarray | None) -> dict[tuple[int, str], np.ndarray]:
     """The positions in ``s`` of the records at ``region`` in each (label,
     group) cell, as in ``ScoreSet.cells``: ``region`` holds ``select_region``
-    positions, which may repeat a record, or None for every record once. No
-    copy of the region's scores, labels or groups is kept."""
+    positions, which may repeat a record, or None for every record once. The
+    positions have the dtype of ``region`` (of ``s.cells`` for None): 4 bytes
+    each for a draw or region taken from a set below 2**31 records. No copy
+    of the region's scores, labels or groups is kept."""
     if region is None:
         return s.cells
     masks = _cell_masks(s.is_pos[region], s.in_group_a[region])

@@ -19,7 +19,7 @@ from typing import Callable, Iterator, Literal
 import numpy as np
 
 from . import metrics
-from ._util import ceil_count, is_sorted, top_mask
+from ._util import ceil_count, is_sorted, position_dtype, top_mask
 from .metrics import GROUP_A, GROUP_B, ScoreSet, require_both_groups
 from .ot import TransportPlan, barycentric_projection, solve_ot_1d
 from .pareto import TradeoffPoint
@@ -227,10 +227,13 @@ def fit_and_map(
     # sort keeps tied scores, zeros of both signs included, in record order,
     # so the plan, the moved records and each build_score_map's tie merges
     # are those of the unsorted cloud, bit for bit. Test queries are presorted
-    # too; each is mapped on its own, so their order among ties is free.
+    # too; each is mapped on its own, so their order among ties is free. Their
+    # positions are held for every lambda, so they are kept as narrow as the
+    # test set allows.
     projected = barycentric_projection(fit_transport(ref_train, mov_train), ref_train)
     test_at = np.flatnonzero(test.group_mask(moving))
     test_at = test_at[np.argsort(test.scores[test_at])]
+    test_at = test_at.astype(position_dtype(len(test)), copy=False)
     queries = test.scores[test_at]
 
     def build(lam: float) -> ScoreSet:
@@ -258,7 +261,10 @@ def evaluate_grid(
     of ``test`` at ``draw(r)`` (None: all), once its draw and region pass
     ``mapped.check``, on each set of ``mapped``, which holds ``test``'s
     records with new scores. Only the shorter axis of this R x L grid is
-    held, so working memory is O(n) per item of it."""
+    held, so working memory is O(n) per item of it: a mapped set's 8 bytes
+    per record, or a replicate's ``metrics.region_cells``, one position per
+    record of its region in the dtype of its draw (4 bytes for a file
+    sweep's draw; see ``_util.position_dtype``)."""
     check = mapped.check
 
     def drawn_cells(rep: int) -> dict | str:

@@ -1,9 +1,11 @@
-"""Working-memory bounds of score-file parsing and file-mode sweeps.
+"""Working-memory bounds of score-file parsing and file-mode sweeps, and
+the width of the record positions they keep.
 
 Peaks are read with ``tracemalloc``, which numpy reports its array buffers
 to, so they count the bytes the program allocates, not the process's RSS.
 """
 
+import functools
 import gc
 import json
 import tracemalloc
@@ -12,9 +14,12 @@ import numpy as np
 import pytest
 
 from fairpot import io
-from fairpot.cli import main
-from fairpot.io import read_score_file, write_score_file
-from fairpot.transport import fit_and_map
+from fairpot._util import position_dtype
+from fairpot.cli import _bootstrap_draw, main
+from fairpot.datagen import STAGE_BOOTSTRAP, stream
+from fairpot.io import ExperimentConfig, read_score_file, write_score_file
+from fairpot.metrics import region_cells, top_alpha_region
+from fairpot.transport import evaluate_grid, fit_and_map
 
 import oracles
 
@@ -117,3 +122,44 @@ def test_sweep_memory_does_not_grow_with_the_replicate_count(score_files):
     peak_two = sweep_peak(*score_files, "unadjusted", [0.0], bootstrap_n=2)
     peak_fifty = sweep_peak(*score_files, "unadjusted", [0.0], bootstrap_n=50)
     assert peak_fifty - peak_two < FLOAT64_ARRAY
+
+
+def file_sweep_draw(n_reps: int):
+    """Replicate ``rep``'s draw of the test file's records, as ``fairpot
+    sweep`` makes it on a file of ``N_RECORDS`` records."""
+    config = ExperimentConfig(seed=3, bootstrap_n=n_reps)
+    return functools.partial(_bootstrap_draw, config, N_RECORDS)
+
+
+def test_bootstrap_replicates_hold_four_bytes_per_drawn_record():
+    # With more lambdas than replicates, each replicate's cells are held
+    # while the lambda loop runs: one position per drawn record, in the
+    # dtype of its draw. Beside a fixed 4.5 arrays (a mapped set, its
+    # evaluation and the map's temporaries), each replicate may hold 4.5
+    # bytes per record; int64 positions take 8.
+    rng = np.random.default_rng(74)
+    train, test = (oracles.random_score_set(rng, N_RECORDS) for _ in range(2))
+    lambdas = [i / 10 for i in range(11)]
+    peaks = {}
+    for n_reps in (2, 10):
+        mapped = fit_and_map(train, test, lambdas)
+        draw = file_sweep_draw(n_reps)
+        peaks[n_reps] = traced_peak(
+            lambda: evaluate_grid(test, mapped, "global", None, n_reps, draw)
+        )
+        assert peaks[n_reps] <= 4.5 * FLOAT64_ARRAY + n_reps * 4.5 * N_RECORDS
+    assert (peaks[10] - peaks[2]) / (8 * N_RECORDS) <= 5
+
+
+def test_positions_are_int32_below_two_to_the_31_records():
+    # the rule reads the set's size only, so neither size is allocated
+    assert position_dtype(2**31 - 1) is np.int32
+    assert position_dtype(2**31) is np.int64
+    s = oracles.random_score_set(np.random.default_rng(75), N_RECORDS)
+    draw = file_sweep_draw(2)(1)
+    assert draw.dtype == np.int32
+    # the same records as the int64 draw from the replicate's stream
+    assert np.array_equal(draw, stream(3, STAGE_BOOTSTRAP, 1).integers(0, N_RECORDS, N_RECORDS))
+    for cells in (region_cells(s, draw), s.cells):
+        assert {idx.dtype for idx in cells.values()} == {np.dtype(np.int32)}
+    assert top_alpha_region(s, 0.3).member_indices.dtype == np.int32

@@ -335,3 +335,12 @@ class TestEvaluateCells:
         small = big.subset(np.arange(30))
         with pytest.raises(ValueError, match="past the 30 scores"):
             evaluate_cells(cells, small.scores, "global")
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    @pytest.mark.parametrize("position", [-1, 30])
+    def test_position_outside_the_scores_rejected_at_either_width(self, position, dtype):
+        s = oracles.random_score_set(np.random.default_rng(33), 30)
+        cells = dict(s.cells)
+        cells[1, GROUP_A] = np.append(cells[1, GROUP_A], position).astype(dtype)
+        with pytest.raises(ValueError, match="past the 30 scores"):
+            evaluate_cells(cells, s.scores, "global")

@@ -374,6 +374,21 @@ def test_select_region_equals_the_sorted_region_of_the_draw(s_and_draw, alpha):
     assert np.array_equal(got, expected)
 
 
+@given(
+    st.one_of(labeled_sets(), tied_sets).flatmap(
+        lambda s: st.tuples(st.just(s), draws(len(s), min_size=1))
+    ),
+    st.sampled_from(("global", "partial")),
+)
+def test_evaluate_cells_reads_int32_positions_as_int64_ones(s_and_draw, mode):
+    s, draw = s_and_draw
+    narrow, wide = (region_cells(s, draw.astype(dtype)) for dtype in (np.int32, np.int64))
+    assert {idx.dtype for idx in narrow.values()} == {np.dtype(np.int32)}
+    assert np.array_equal(
+        bits(evaluate_cells(narrow, s.scores, mode)), bits(evaluate_cells(wide, s.scores, mode))
+    )
+
+
 # Tied scores within and across classes and groups.
 TIED = labeled_set([0.5, 0.5, 0.5, 0.5, 0.25, 0.75, 0.25], [1, 0, 1, 0, 1, 0, 0], "aabbabb")
 # One class only.
