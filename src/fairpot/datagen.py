@@ -219,6 +219,18 @@ class LogisticScorer:
         return sigmoid(x @ self.weights + self.intercept)
 
 
+def _holds_two_values(y: np.ndarray) -> bool:
+    """``len(np.unique(y)) >= 2``, where nans count as one value and -0.0
+    equals 0.0, by comparison with the first value: ``np.unique`` imports
+    ``numpy.ma``, which no other step of a run needs."""
+    flat = y.ravel()
+    if len(flat) == 0:
+        return False
+    if np.isnan(flat[0]):
+        return not np.all(np.isnan(flat))
+    return bool(np.any(flat != flat[0]))
+
+
 def fit_logistic_scorer(features, labels) -> LogisticScorer:
     """Full-batch gradient descent on L2-regularized log loss.
 
@@ -229,7 +241,7 @@ def fit_logistic_scorer(features, labels) -> LogisticScorer:
     y = np.asarray(labels, dtype=float)
     if x.ndim != 2 or len(x) != len(y):
         raise ValueError("features must be (n, d) aligned with labels")
-    if len(np.unique(y)) < 2:
+    if not _holds_two_values(y):
         raise ValueError("training data must contain both label classes")
     n, d = x.shape
     w = np.zeros(d)

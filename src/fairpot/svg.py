@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import xml.etree.ElementTree as ET
-
 from .io import open_atomic
 
 WIDTH, HEIGHT = 640, 480
@@ -39,6 +37,9 @@ def render_tradeoff_svg(
 ) -> None:
     """Write a fixed-size chart: one polyline with dot markers per series,
     frontier points highlighted with open rings."""
+    # imported here, so only a process that draws a chart loads the XML package
+    import xml.etree.ElementTree as ET
+
     all_pts = [p for _, pts in series for p in pts] + list(frontier or [])
     if not all_pts:
         raise ValueError("nothing to plot")

@@ -62,6 +62,9 @@ class ScoreMap:
 
     knots_x: np.ndarray
     knots_y: np.ndarray
+    # writable views of the read-only knots, for np.interp, which copies
+    # read-only inputs on every call
+    _interp_knots: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         x = np.asarray(self.knots_x, dtype=float)
@@ -74,17 +77,21 @@ class ScoreMap:
             raise ValueError("knot x-values must not be nan")
         if np.any(np.diff(x) <= 0):
             raise ValueError("knot x-values must be strictly increasing")
-        x.setflags(write=False)
-        y.setflags(write=False)
-        object.__setattr__(self, "knots_x", x)
-        object.__setattr__(self, "knots_y", y)
+        views = []
+        for name, knots in (("knots_x", x), ("knots_y", y)):
+            if not knots.flags.writeable:
+                knots = knots.copy()
+            views.append(knots.view())  # stays writable once its base is not
+            knots.setflags(write=False)
+            object.__setattr__(self, name, knots)
+        object.__setattr__(self, "_interp_knots", tuple(views))
 
     def __len__(self) -> int:
         return len(self.knots_x)
 
     def evaluate(self, values) -> np.ndarray:
         # np.interp returns a knot's y, bit for bit, for a query equal to its x
-        return np.interp(np.asarray(values, dtype=float), self.knots_x, self.knots_y)
+        return np.interp(np.asarray(values, dtype=float), *self._interp_knots)
 
 
 def fit_transport(scores_a_train, scores_b_train) -> TransportPlan:

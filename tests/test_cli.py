@@ -889,6 +889,21 @@ print(loaded)
 """
 
 
+def loaded_by_a_fresh_interpreter(script, *args):
+    """The last line ``script`` prints, run in a fresh interpreter that
+    imports fairpot from this source tree."""
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
 def modules_loaded_along_the_cli_paths(tmp_path, module):
     """Run, in a fresh interpreter, an import of the CLI, file-mode sweeps of
     every method, a pareto merge, a one-replicate synthetic sweep and
@@ -904,17 +919,9 @@ def modules_loaded_along_the_cli_paths(tmp_path, module):
     )
     synth_cfg = tmp_path / "synth.json"
     synth_cfg.write_text(json.dumps({"output_dir": str(tmp_path / "synth"), "bootstrap_n": 1}))
-    src = Path(cli.__file__).resolve().parents[1]
-    proc = subprocess.run(
-        [sys.executable, "-c", IMPORT_PATH_SCRIPT, str(tmp_path), file_cfg, str(synth_cfg),
-         module],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": str(src)},
-        timeout=300,
+    return loaded_by_a_fresh_interpreter(
+        IMPORT_PATH_SCRIPT, str(tmp_path), file_cfg, str(synth_cfg), module
     )
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout.splitlines()[-1]
 
 
 def test_scipy_never_loaded(tmp_path):
@@ -929,6 +936,40 @@ def test_multiprocessing_loaded_only_for_a_worker_pool(tmp_path):
     two or more CPUs: the CLI import, file-mode sweeps, the pareto merge and
     a one-replicate synthetic sweep never load it, nor pay for its import."""
     assert modules_loaded_along_the_cli_paths(tmp_path, "multiprocessing") == str([None] * 8)
+
+
+def test_numpy_ma_never_loaded(tmp_path):
+    """No CLI path loads ``numpy.ma``: the logistic fit of a synthetic sweep
+    checks its labels without ``np.unique``, which would import it."""
+    if loaded_by_a_fresh_interpreter("import sys, numpy; print('numpy.ma' in sys.modules)") == "True":
+        pytest.skip("this numpy loads numpy.ma on import")
+    assert modules_loaded_along_the_cli_paths(tmp_path, "numpy.ma") == str([None] * 8)
+
+
+PLOT_SWEEP_SCRIPT = """
+import sys
+
+from fairpot.cli import main
+
+assert main(["sweep", "--config", sys.argv[1], "--method", "fairpot", "--plot"]) == 0
+print("xml.etree.ElementTree" in sys.modules)
+"""
+
+
+def test_xml_loaded_only_to_draw_a_chart(tmp_path):
+    """Only a sweep with ``--plot`` loads the XML package that writes its chart."""
+    assert modules_loaded_along_the_cli_paths(tmp_path, "xml.etree.ElementTree") == str([None] * 8)
+    paths = write_golden_inputs(tmp_path)
+    cfg = write_config(
+        tmp_path,
+        output_dir=str(tmp_path / "plot"),
+        bootstrap_n=2,
+        lambdas=[0.0, 1.0],
+        train_path=str(paths["train"]),
+        test_path=str(paths["test"]),
+    )
+    assert loaded_by_a_fresh_interpreter(PLOT_SWEEP_SCRIPT, cfg) == "True"
+    assert (tmp_path / "plot" / "sweep_fairpot_global.svg").exists()
 
 
 # sha256 of a small synthetic sweep (fairpot, partial mode, --plot, 4

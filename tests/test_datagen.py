@@ -125,6 +125,30 @@ class TestLogisticScorer:
         with pytest.raises(ValueError):
             fit_logistic_scorer(np.array([[0.0], [1.0]]), np.array([1, 1]))
 
+    @pytest.mark.parametrize(
+        "labels",
+        [[0, 0, 0], [1, 1, 1], [np.nan, np.nan, np.nan], [], [-0.0, 0.0, 0.0]],
+        ids=["all_0", "all_1", "all_nan", "empty", "signed_zeros"],
+    )
+    def test_labels_without_two_values_rejected(self, labels):
+        with pytest.raises(ValueError, match="^training data must contain both label classes$"):
+            fit_logistic_scorer(np.zeros((len(labels), 1)), np.array(labels, dtype=float))
+
+    @pytest.mark.parametrize(
+        "labels", [[0, 1, 1], [1, 1, 0], [np.nan, 1.0, 1.0], [1.0, np.nan, np.nan]],
+        ids=["0_first", "1_first", "nan_first", "nan_after"],
+    )
+    def test_labels_with_two_values_fit(self, labels):
+        # np.unique counts a nan beside a number as two values, so the fit
+        # runs, and its nan gradient makes nan weights
+        y = np.array(labels, dtype=float)
+        scorer = fit_logistic_scorer(np.array([[0.0], [1.0], [2.0]]), y)
+        assert np.isnan(scorer.intercept) == bool(np.any(np.isnan(y)))
+
+    def test_length_check_comes_before_the_label_check(self):
+        with pytest.raises(ValueError, match="aligned with labels"):
+            fit_logistic_scorer(np.zeros((3, 1)), np.array([1, 1]))
+
     def test_deterministic(self):
         rng = np.random.default_rng(3)
         x = rng.normal(size=(50, 4))

@@ -446,7 +446,7 @@ class TestAtomicWrites:
 
         if writer == "svg":
             # the SVG bytes are serialized inside the open temporary file
-            monkeypatch.setattr("fairpot.svg.ET.tostring", boom)
+            monkeypatch.setattr("xml.etree.ElementTree.tostring", boom)
         else:
             # the header is written before the first formatted number
             monkeypatch.setattr("fairpot.io._fmt", boom)

@@ -19,7 +19,7 @@ from fairpot.cli import _bootstrap_draw, main
 from fairpot.datagen import STAGE_BOOTSTRAP, stream
 from fairpot.io import ExperimentConfig, read_score_file, write_score_file
 from fairpot.metrics import region_cells, top_alpha_region
-from fairpot.transport import evaluate_grid, fit_and_map
+from fairpot.transport import apply_psi, build_score_map, evaluate_grid, fit_and_map
 
 import oracles
 
@@ -122,6 +122,18 @@ def test_sweep_memory_does_not_grow_with_the_replicate_count(score_files):
     peak_two = sweep_peak(*score_files, "unadjusted", [0.0], bootstrap_n=2)
     peak_fifty = sweep_peak(*score_files, "unadjusted", [0.0], bootstrap_n=50)
     assert peak_fifty - peak_two < FLOAT64_ARRAY
+
+
+def test_apply_psi_holds_its_output_and_one_query_sized_temporary():
+    # np.interp copies read-only knots on every call, which would add two
+    # knot-sized arrays; the map's knots stay read-only for its callers
+    rng = np.random.default_rng(76)
+    x = np.sort(rng.random(N_RECORDS))
+    score_map = build_score_map(x, np.sqrt(x))
+    assert len(score_map) == N_RECORDS
+    assert not score_map.knots_x.flags.writeable and not score_map.knots_y.flags.writeable
+    queries = np.sort(rng.random(N_RECORDS))
+    assert traced_peak(lambda: apply_psi(score_map, queries)) <= 2.5 * FLOAT64_ARRAY
 
 
 def file_sweep_draw(n_reps: int):

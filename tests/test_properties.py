@@ -16,7 +16,7 @@ from scipy.stats import wasserstein_distance
 
 from fairpot._util import ceil_count, sigmoid, top_mask
 from fairpot.baselines import DEFAULT_SCALE_GRID, _group_quantile_maps, fit_post_logit
-from fairpot.datagen import _ndtri
+from fairpot.datagen import _ndtri, fit_logistic_scorer
 from fairpot.metrics import (
     ScoreSet,
     TopAlphaRegion,
@@ -644,3 +644,14 @@ def test_ndtri_equals_scipy_on_a_million_draws():
     ])
     y[y == 0.0] = 2.0**-54
     assert np.array_equal(_ndtri(y).view(np.int64), ndtri(y).view(np.int64))
+
+
+@given(st.lists(st.sampled_from((0.0, -0.0, 1.0, np.nan)), max_size=6))
+def test_label_check_counts_values_as_np_unique_does(labels):
+    y = np.array(labels, dtype=float)
+    x = np.zeros((len(y), 0))  # no features: the fit is its intercept alone
+    if len(np.unique(y)) < 2:
+        with pytest.raises(ValueError, match="both label classes"):
+            fit_logistic_scorer(x, y)
+    else:
+        fit_logistic_scorer(x, y)
