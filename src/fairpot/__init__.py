@@ -31,20 +31,11 @@ from .metrics import (
 from .ot import (
     TransportPlan,
     barycentric_projection,
-    plan_cost,
     solve_ot_1d,
     wasserstein1_distance,
 )
-from .pareto import TradeoffPoint, dominates, pareto_frontier
-from .transport import (
-    PartialTransportResult,
-    ScoreMap,
-    apply_phi,
-    apply_psi,
-    build_score_map,
-    fit_transport,
-    sweep,
-)
+from .pareto import TradeoffPoint, pareto_frontier
+from .transport import ScoreMap, apply_psi, build_score_map, fit_transport, sweep
 
 __version__ = "0.1.0"
 
@@ -52,7 +43,6 @@ __all__ = [
     "GROUP_A",
     "GROUP_B",
     "LogisticScorer",
-    "PartialTransportResult",
     "PostLogitParams",
     "ScoreMap",
     "ScoreSet",
@@ -61,20 +51,17 @@ __all__ = [
     "TopAlphaRegion",
     "TradeoffPoint",
     "TransportPlan",
-    "apply_phi",
     "apply_post_logit",
     "apply_psi",
     "auc",
     "barycentric_projection",
     "build_score_map",
-    "dominates",
     "fit_logistic_scorer",
     "fit_post_logit",
     "fit_transport",
     "generate_synthetic",
     "pareto_frontier",
     "pauc",
-    "plan_cost",
     "pxauc",
     "pxauc_disparity",
     "solve_ot_1d",

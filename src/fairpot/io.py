@@ -451,23 +451,37 @@ def write_sweep_summary(rows: list[SweepRow], path) -> None:
 
 
 def read_sweep_results(path) -> list[SweepRow]:
+    """Rows of a sweep results file, in file order; raises ``ScoreFileError``
+    naming the line of the first row that does not parse, or whose lambda is
+    outside [0, 1], alpha outside (0, 1], replicate negative, or accuracy or
+    disparity neither nan (a failed row) nor in [0, 1]."""
     path = Path(path)
     rows: list[SweepRow] = []
     for lineno, row in _csv_rows(path, SWEEP_HEADER):
         try:
-            rows.append(
-                SweepRow(
-                    method=row[0],
-                    lam=float(row[1]),
-                    alpha=float(row[2]),
-                    replicate=int(row[3]),
-                    accuracy=float(row[4]),
-                    disparity=float(row[5]),
-                    on_frontier={"true": True, "false": False}[row[6]],
-                )
+            r = SweepRow(
+                method=row[0],
+                lam=float(row[1]),
+                alpha=float(row[2]),
+                replicate=int(row[3]),
+                accuracy=float(row[4]),
+                disparity=float(row[5]),
+                on_frontier={"true": True, "false": False}[row[6]],
             )
         except (ValueError, KeyError):
             raise ScoreFileError(f"{path}:{lineno}: unparseable row {row!r}") from None
+        for column, ok, rule in (
+            (1, 0.0 <= r.lam <= 1.0, "in [0, 1]"),
+            (2, 0.0 < r.alpha <= 1.0, "in (0, 1]"),
+            (3, r.replicate >= 0, "non-negative"),
+            (4, math.isnan(r.accuracy) or 0.0 <= r.accuracy <= 1.0, "nan or in [0, 1]"),
+            (5, math.isnan(r.disparity) or 0.0 <= r.disparity <= 1.0, "nan or in [0, 1]"),
+        ):
+            if not ok:
+                raise ScoreFileError(
+                    f"{path}:{lineno}: {SWEEP_HEADER[column]} must be {rule}, got {row[column]}"
+                )
+        rows.append(r)
     return rows
 
 

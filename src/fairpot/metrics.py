@@ -20,8 +20,8 @@ walks them over every replicate and lambda.
 
 The top-alpha region of ``top_alpha_region`` and ``select_region`` is taken
 on a score array by ``_util.top_mask``: the k highest scores, ties toward the
-lower position. The top-lambda move of ``transport.apply_phi`` and
-``transport.fit_and_map`` selects by the same function.
+lower position. The top-lambda move of ``transport.fit_and_map`` selects by
+the same function.
 """
 
 from __future__ import annotations
@@ -55,6 +55,15 @@ def _all_in(values: np.ndarray, allowed: tuple, kinds: str) -> bool:
     return values.size == 0 or (
         values.dtype.kind in kinds and np.logical_or.reduce([values == v for v in allowed]).all()
     )
+
+
+def _positions(indices) -> np.ndarray:
+    """``indices`` as an array: integers of any width, or an empty input of
+    any dtype. A bool mask or floats are not read as positions."""
+    idx = np.asarray(indices)
+    if idx.size and idx.dtype.kind not in "iu":
+        raise ValueError(f"indices must be integers, got dtype {idx.dtype}")
+    return idx
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -151,8 +160,10 @@ class ScoreSet:
 
     def subset(self, indices: np.ndarray) -> "ScoreSet":
         """New set containing the records at ``indices``, in the given order.
-        Signed integer indices of any width are used as given, not copied."""
-        idx = np.asarray(indices)
+        Signed integer indices of any width are used as given, not copied,
+        and unsigned ones are cast to int64; any other dtype, such as a bool
+        mask or floats, is a ValueError unless ``indices`` is empty."""
+        idx = _positions(indices)
         if idx.dtype.kind != "i":
             idx = idx.astype(np.int64)
         if idx.ndim != 1:
@@ -223,7 +234,7 @@ class TopAlphaRegion:
     member_indices: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        idx = np.asarray(self.member_indices)
+        idx = _positions(self.member_indices)
         idx = idx.astype(position_dtype(int(idx.max()) + 1 if idx.size else 0), copy=False)
         idx.setflags(write=False)
         object.__setattr__(self, "member_indices", idx)

@@ -73,12 +73,6 @@ class TransportPlan:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
-    def to_dense(self) -> np.ndarray:
-        """Materialize the coupling matrix, source rows by target columns."""
-        gamma = np.zeros((self.source_n, self.target_n))
-        np.add.at(gamma, (self.source_idx, self.target_idx), self.masses)
-        return gamma
-
 
 def _monotone_levels(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Grid levels of the monotone coupling of ``n`` sorted source points onto
@@ -135,14 +129,6 @@ def solve_ot_1d(source_support, target_support) -> TransportPlan:
     return TransportPlan(
         source_idx=src_idx, target_idx=tgt_idx, masses=mass, source_n=n, target_n=m
     )
-
-
-def plan_cost(plan: TransportPlan, source_support, target_support) -> float:
-    """Total squared-distance cost of a plan between the given supports."""
-    zs = np.asarray(source_support, dtype=float)
-    zt = np.asarray(target_support, dtype=float)
-    diff = zs[plan.source_idx] - zt[plan.target_idx]
-    return float(np.sum(plan.masses * diff * diff))
 
 
 def barycentric_projection(plan: TransportPlan, target_support) -> np.ndarray:

@@ -26,15 +26,6 @@ class TradeoffPoint:
             raise ValueError(f"disparity must be in [0, 1], got {self.disparity}")
 
 
-def dominates(p: TradeoffPoint, q: TradeoffPoint) -> bool:
-    """True when p is at least as good as q on both axes and better on one."""
-    return (
-        p.disparity <= q.disparity
-        and p.accuracy >= q.accuracy
-        and (p.disparity < q.disparity or p.accuracy > q.accuracy)
-    )
-
-
 def _dedup_key(p: TradeoffPoint) -> tuple:
     return (p.lam, p.method_tag, p.replicate_id)
 

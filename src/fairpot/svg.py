@@ -31,12 +31,11 @@ def render_tradeoff_svg(
     path,
     series: list[tuple[str, list[tuple[float, float]]]],
     frontier: list[tuple[float, float]] | None = None,
-    x_label: str = "disparity",
-    y_label: str = "accuracy",
     title: str = "",
 ) -> None:
-    """Write a fixed-size chart: one polyline with dot markers per series,
-    frontier points highlighted with open rings."""
+    """Write a fixed-size chart of (disparity, accuracy) points: one
+    polyline with dot markers per series, frontier points highlighted with
+    open rings."""
     # imported here, so only a process that draws a chart loads the XML package
     import xml.etree.ElementTree as ET
 
@@ -89,13 +88,13 @@ def render_tradeoff_svg(
         labels, "text", x=_fmt((x0 + x1) / 2), y=str(HEIGHT - 12),
         attrib={"text-anchor": "middle"}, style="font:13px sans-serif",
     )
-    xl.text = x_label
+    xl.text = "disparity"
     yl = ET.SubElement(
         labels, "text", x="18", y=_fmt((y0 + y1) / 2),
         attrib={"text-anchor": "middle"}, style="font:13px sans-serif",
         transform=f"rotate(-90 18 {_fmt((y0 + y1) / 2)})",
     )
-    yl.text = y_label
+    yl.text = "accuracy"
 
     for k, (name, pts) in enumerate(series):
         color = PALETTE[k % len(PALETTE)]

@@ -32,26 +32,6 @@ MODES = ("global", "partial")
 
 
 @dataclass(frozen=True)
-class PartialTransportResult:
-    """Training scores after moving the top-``lam`` portion, in record order."""
-
-    lam: float
-    transported_scores: np.ndarray
-    transported_index_set: np.ndarray = field(repr=False)
-    n_transported: int = 0
-
-    def __post_init__(self) -> None:
-        scores = np.asarray(self.transported_scores, dtype=float)
-        idx = np.asarray(self.transported_index_set, dtype=np.int64)
-        scores.setflags(write=False)
-        idx.setflags(write=False)
-        object.__setattr__(self, "transported_scores", scores)
-        object.__setattr__(self, "transported_index_set", idx)
-        if len(idx) != self.n_transported:
-            raise ValueError("transported_index_set size must equal n_transported")
-
-
-@dataclass(frozen=True)
 class ScoreMap:
     """Piecewise-linear monotone-knot map from original to transported scores.
 
@@ -103,34 +83,6 @@ def fit_transport(scores_a_train, scores_b_train) -> TransportPlan:
     if len(b) == 0:
         raise ValueError("group b has no training scores to transport")
     return solve_ot_1d(b, a)
-
-
-def apply_phi(
-    scores_b_train, plan: TransportPlan, scores_a_train, lam: float
-) -> PartialTransportResult:
-    """Replace the top ceil(lam * n_b) group-b scores with their projections.
-
-    The plan must have been fitted on exactly these score vectors, and the
-    group-b scores must be finite. Ties at the selection boundary prefer the
-    lower original index; all other scores are returned unchanged, in
-    original record order.
-    """
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"lam must be in [0, 1], got {lam}")
-    b = np.asarray(scores_b_train, dtype=float)
-    a = np.asarray(scores_a_train, dtype=float)
-    if not np.all(np.isfinite(b)):
-        raise ValueError("scores_b_train must be finite")
-    if plan.source_n != len(b) or plan.target_n != len(a):
-        raise ValueError("plan dimensions do not match the given score vectors")
-    n_top = ceil_count(lam, len(b))
-    out = b.copy()
-    top = np.flatnonzero(top_mask(b, n_top))
-    if n_top:
-        out[top] = barycentric_projection(plan, a)[top]
-    return PartialTransportResult(
-        lam=lam, transported_scores=out, transported_index_set=top, n_transported=n_top
-    )
 
 
 def build_score_map(original_train, transported_train) -> ScoreMap:
@@ -228,13 +180,14 @@ def fit_and_map(
 
     # Everything but the top-k slice is lambda-independent, and all of it
     # reads one stable sort of the moving cloud: the plan is fitted on it, so
-    # the projection comes out in its order; the top k moving records (ties
-    # toward the lower position, the rule of ``apply_phi`` and the top-alpha
-    # region) are taken from it per lambda; and it is the knots' x. A stable
-    # sort keeps tied scores, zeros of both signs included, in record order,
-    # so the plan, the moved records and each build_score_map's tie merges
-    # are those of the unsorted cloud, bit for bit. Test queries are presorted
-    # too; each is mapped on its own, so their order among ties is free. Their
+    # the projection comes out in its order; the top k moving records, which
+    # Phi moves onto their projections, are taken from it per lambda (ties
+    # toward the lower position, by ``_util.top_mask``, the rule of the
+    # top-alpha region); and it is the knots' x. A stable sort keeps tied
+    # scores, zeros of both signs included, in record order, so the plan,
+    # the moved records and each build_score_map's tie merges are those of
+    # the unsorted cloud, bit for bit. Test queries are presorted too; each
+    # is mapped on its own, so their order among ties is free. Their
     # positions are held for every lambda, so they are kept as narrow as the
     # test set allows.
     projected = barycentric_projection(fit_transport(ref_train, mov_train), ref_train)
@@ -324,8 +277,6 @@ def sweep(
     mode: Mode = "global",
     alpha: float | None = None,
     direction: Direction = "b_to_a",
-    method_tag: str = "fairpot",
-    replicate_id: int = 0,
 ) -> list[TradeoffPoint]:
     """Trade-off points for each lambda: fit on train, transform the moving
     group's test scores, evaluate accuracy and disparity on the merged test set.
@@ -334,13 +285,11 @@ def sweep(
     scores (train for fitting, test for evaluation) and held fixed; metrics are
     computed within the region members only. The points are those of a
     ``fairpot sweep`` on these sets without a bootstrap, by the same path; an
-    error that would fail its one replicate is raised as a ValueError.
+    error that would fail its one replicate is raised as a ValueError. Each
+    point carries the method tag ``"fairpot"`` and replicate 0.
     """
     mapped = fit_and_map(train, test, lambdas, mode, alpha, direction)
     [outcome] = evaluate_grid(test, mapped, mode, alpha)
     if isinstance(outcome, str):
         raise ValueError(outcome)
-    return [
-        TradeoffPoint(lam, accuracy, disparity, method_tag, replicate_id)
-        for lam, accuracy, disparity in outcome
-    ]
+    return [TradeoffPoint(*point, "fairpot") for point in outcome]

@@ -3,7 +3,11 @@
 Everything here is deliberately naive: all-pairs enumeration for rank metrics
 and dominance, and a generic LP solver for transport plans. None of it shares
 code with the library, except the ``loop_*`` references: straightforward loop
-versions of vectorized library paths, which the fast paths must match.
+versions of vectorized library paths, which the fast paths must match; and
+``phi``, which takes the top-lambda records by a sort of its own and moves
+them with the library's fit and projection, in record order.
+``moved_by_the_sweep`` is no reference: it runs the sweep's own map, the
+code that ``phi`` checks.
 """
 
 from __future__ import annotations
@@ -24,7 +28,9 @@ from fairpot.baselines import (
 from fairpot._util import ceil_count
 from fairpot.io import SCORE_HEADER, ScoreFileError
 from fairpot.metrics import GROUPS, GROUP_A, GROUP_B, ScoreSet, TopAlphaRegion, xauc_disparity
+from fairpot.ot import TransportPlan, barycentric_projection
 from fairpot.pareto import TradeoffPoint
+from fairpot.transport import fit_and_map, fit_transport
 
 
 def brute_pairs_above(pos_scores, neg_scores) -> int:
@@ -109,6 +115,21 @@ def lp_transport(source_support, target_support):
     res = linprog(cost, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
     assert res.status == 0, f"LP oracle failed: {res.message}"
     return float(res.fun), res.x.reshape(n, m)
+
+
+def plan_cost(plan: TransportPlan, source_support, target_support) -> float:
+    """Total squared-distance cost of a plan between the given supports."""
+    zs = np.asarray(source_support, dtype=float)
+    zt = np.asarray(target_support, dtype=float)
+    diff = zs[plan.source_idx] - zt[plan.target_idx]
+    return float(np.sum(plan.masses * diff * diff))
+
+
+def dense_plan(plan: TransportPlan) -> np.ndarray:
+    """The coupling matrix of a plan, source rows by target columns."""
+    gamma = np.zeros((plan.source_n, plan.target_n))
+    np.add.at(gamma, (plan.source_idx, plan.target_idx), plan.masses)
+    return gamma
 
 
 def loop_uniform_plan(source_support, target_support):
@@ -244,6 +265,17 @@ def sorted_top_positions(scores: np.ndarray, k: int) -> np.ndarray:
     return np.sort(np.argsort(-np.asarray(scores, dtype=float), kind="stable")[:k])
 
 
+def phi(reference, moving, lam: float) -> np.ndarray:
+    """The moving scores after the top-``lam`` move, in record order: the
+    first ceil(lam * n) of a stable descending sort take their projections
+    onto the reference cloud, and the rest keep their scores."""
+    mov = np.asarray(moving, dtype=float)
+    out = mov.copy()
+    top = sorted_top_positions(mov, ceil_count(lam, len(mov)))
+    out[top] = barycentric_projection(fit_transport(reference, mov), reference)[top]
+    return out
+
+
 def sorted_top_alpha_region(s: ScoreSet, alpha: float) -> TopAlphaRegion:
     """Top region taken by a stable descending sort for every alpha,
     including the whole set."""
@@ -322,6 +354,18 @@ def brute_frontier(points: list[TradeoffPoint]) -> list[TradeoffPoint]:
         ):
             best[key] = p
     return sorted(best.values(), key=lambda p: (p.disparity, -p.accuracy))
+
+
+def moved_by_the_sweep(scores_a, scores_b, lam: float) -> np.ndarray:
+    """Group b's scores as ``transport.fit_and_map`` maps them onto group a
+    at ``lam``, the set of both groups' records (labels 0) taken as its own
+    training and test set. With no tied b scores, psi hits each knot
+    exactly: these are the top-lambda move's output, bit for bit."""
+    scores = np.concatenate([np.asarray(scores_a, float), np.asarray(scores_b, float)])
+    groups = np.repeat([GROUP_A, GROUP_B], [len(scores_a), len(scores_b)])
+    s = ScoreSet(scores=scores, labels=np.zeros(len(scores), dtype=int), groups=groups)
+    [(_, mapped)] = fit_and_map(s, s, [lam])
+    return mapped.group_scores(GROUP_B)
 
 
 def random_score_set(rng: np.random.Generator, n: int, score_pool=None) -> ScoreSet:

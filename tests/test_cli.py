@@ -15,7 +15,13 @@ import pytest
 import fairpot
 from fairpot import baselines, cli, datagen, metrics, transport
 from fairpot.cli import main
-from fairpot.io import ExperimentConfig, read_score_file, read_sweep_results, write_score_file
+from fairpot.io import (
+    ExperimentConfig,
+    read_score_file,
+    read_sweep_results,
+    write_score_file,
+    write_sweep_results,
+)
 from fairpot.metrics import ScoreSet
 
 import oracles
@@ -623,6 +629,31 @@ class TestPareto:
         out = tmp_path / "frontier.csv"
         assert run("pareto", str(fair), str(partial), "--output", str(out)) == 2
 
+    @pytest.mark.parametrize(
+        "column, value, every_row, message",
+        [
+            (1, "nan", False, "3: lambda must be in [0, 1], got nan"),
+            (1, "7", False, "3: lambda must be in [0, 1], got 7"),
+            (2, "nan", True, "2: alpha must be in (0, 1], got nan"),
+            (4, "1.5", False, "3: accuracy must be nan or in [0, 1], got 1.5"),
+        ],
+        ids=["lambda-nan", "lambda-7", "alpha-nan-everywhere", "accuracy-1.5"],
+    )
+    def test_malformed_row_rejected_with_its_line(
+        self, tmp_path, capsys, column, value, every_row, message
+    ):
+        lines = (GOLDEN_DIR / "b_to_a_sweep_fairpot_global_results.csv").read_text().splitlines()
+        for i in range(1, len(lines)) if every_row else [2]:
+            fields = lines[i].split(",")
+            fields[column] = value
+            lines[i] = ",".join(fields)
+        results = tmp_path / "results.csv"
+        results.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "frontier.csv"
+        assert run("pareto", str(results), "--output", str(out)) == 2
+        assert capsys.readouterr().err == f"error: {results}:{message}\n"
+        assert not out.exists()
+
 
 class TestExitCodes:
     def test_missing_config_file(self, tmp_path):
@@ -803,6 +834,18 @@ def test_golden_files_cover_every_sweep():
 @pytest.mark.parametrize("name", GOLDEN_NAMES)
 def test_golden_sweep_bytes(name, golden_outputs):
     assert golden_outputs[name] == (GOLDEN_DIR / name).read_bytes()
+
+
+@pytest.mark.parametrize("mode", transport.MODES)
+def test_golden_results_and_their_frontier_read_back(tmp_path, mode):
+    """The results files that sweeps write, and the frontier that a pareto
+    merge of them writes, read back into rows that write the same bytes."""
+    results = sorted(GOLDEN_DIR.glob(f"*_{mode}_results.csv"))
+    frontier = tmp_path / "frontier.csv"
+    assert run("pareto", *map(str, results), "--output", str(frontier)) == 0
+    for path in [*results, frontier]:
+        write_sweep_results(read_sweep_results(path), tmp_path / "again.csv")
+        assert (tmp_path / "again.csv").read_bytes() == path.read_bytes(), path.name
 
 
 @pytest.mark.parametrize("mode", transport.MODES)

@@ -16,6 +16,7 @@ from fairpot.io import (
     ConfigError,
     DEFAULT_LAMBDAS,
     ExperimentConfig,
+    SWEEP_HEADER,
     ScoreFileError,
     SweepRow,
     read_config,
@@ -412,6 +413,45 @@ class TestSweepResultFile:
         path.write_text("method,lambda\n")
         with pytest.raises(ScoreFileError):
             read_sweep_results(path)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("lambda", "nan"),
+            ("lambda", "7"),
+            ("lambda", "-inf"),
+            ("alpha", "nan"),
+            ("alpha", "0"),
+            ("replicate", "-1"),
+            ("accuracy", "1.5"),
+            ("disparity", "-0.25"),
+            ("disparity", "inf"),
+        ],
+    )
+    def test_out_of_contract_field_names_its_line(self, tmp_path, field, value):
+        rule = {
+            "lambda": "in [0, 1]",
+            "alpha": "in (0, 1]",
+            "replicate": "non-negative",
+        }.get(field, "nan or in [0, 1]")
+        good = ["fairpot", "0.5", "1", "0", "0.75", "0.25", "false"]
+        bad = list(good)
+        bad[SWEEP_HEADER.index(field)] = value
+        path = tmp_path / "rows.csv"
+        path.write_text("\n".join(",".join(r) for r in (SWEEP_HEADER, good, good, bad)) + "\n")
+        with pytest.raises(ScoreFileError) as exc:
+            read_sweep_results(path)
+        assert str(exc.value) == f"{path}:4: {field} must be {rule}, got {value}"
+
+    def test_contract_edges_read(self, tmp_path):
+        rows = [
+            SweepRow("fairpot", 0.0, 1.0, 0, 0.0, 1.0, False),
+            SweepRow("fairpot", 1.0, 5e-324, 0, 1.0, 0.0, False),
+            SweepRow("fairpot", 0.0, 0.3, 3, float("nan"), float("nan"), False),
+        ]
+        path = tmp_path / "rows.csv"
+        write_sweep_results(rows, path)
+        assert len(read_sweep_results(path)) == 3
 
     def test_ten_significant_digits(self, tmp_path):
         rows = [SweepRow("fairpot", 0.1, 1.0, 0, 1 / 3, 2 / 3, False)]

@@ -8,6 +8,7 @@ from fairpot.metrics import (
     GROUP_A,
     GROUP_B,
     ScoreSet,
+    TopAlphaRegion,
     auc,
     evaluate_cells,
     pauc,
@@ -97,6 +98,27 @@ class TestScoreSet:
         s = make_set([0.2, 0.9, 0.5], [1, 0, 1], ["a", "b", "a"])
         with pytest.raises(ValueError):
             s.subset(np.array([[0, 1]]))
+
+    @pytest.mark.parametrize(
+        "indices",
+        [np.array([True, False, True]), [0.0, 1.7], np.array([1.0])],
+        ids=["bool-mask", "floats", "float-array"],
+    )
+    def test_subset_rejects_non_integer_indices(self, indices):
+        # a bool mask is not a list of positions: [True, False, True] is not records 1, 0, 1
+        s = make_set([0.2, 0.9, 0.5], [1, 0, 1], ["a", "b", "a"])
+        with pytest.raises(ValueError, match="^indices must be integers, got dtype "):
+            s.subset(indices)
+
+    @pytest.mark.parametrize(
+        "indices, want",
+        [([], []), (np.array([2, 0], dtype=np.uint8), [0.5, 0.2]),
+         (np.array([1, 1], dtype=np.int16), [0.9, 0.9])],
+        ids=["empty", "unsigned", "signed"],
+    )
+    def test_subset_takes_integers_of_any_width_and_empty_input(self, indices, want):
+        s = make_set([0.2, 0.9, 0.5], [1, 0, 1], ["a", "b", "a"])
+        assert s.subset(indices).scores.tolist() == want
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
@@ -227,6 +249,18 @@ class TestTopAlphaRegion:
         s = make_set([0.5], [1], ["a"])
         with pytest.raises(ValueError):
             top_alpha_region(s, alpha)
+
+    @pytest.mark.parametrize(
+        "members", [[0.2, 1.9], np.array([True, True])], ids=["floats", "bool-mask"]
+    )
+    def test_non_integer_members_rejected(self, members):
+        with pytest.raises(ValueError, match="^indices must be integers, got dtype "):
+            TopAlphaRegion(alpha=1.0, n_alpha=2, threshold=0.1, member_indices=members)
+
+    def test_members_of_any_integer_width_or_none(self):
+        r = TopAlphaRegion(1.0, 2, 0.1, np.array([1, 2], dtype=np.uint64))
+        assert r.member_indices.tolist() == [1, 2] and r.member_indices.dtype == np.int32
+        assert len(TopAlphaRegion(1.0, 0, 0.1, []).member_indices) == 0
 
 
 class TestPauc:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fairpot.pareto import TradeoffPoint, dominates, pareto_frontier
+from fairpot.pareto import TradeoffPoint, pareto_frontier
 
 import oracles
 
@@ -30,18 +30,21 @@ def random_points(rng, n, coarse=False):
 
 
 class TestDominates:
+    """The dominance rule of ``oracles.dominates``, which the frontier
+    oracle and ``test_removed_points_are_dominated_by_a_survivor`` apply."""
+
     def test_strictly_better_both(self):
-        assert dominates(TradeoffPoint(0, 0.9, 0.1), TradeoffPoint(0, 0.8, 0.2))
+        assert oracles.dominates(TradeoffPoint(0, 0.9, 0.1), TradeoffPoint(0, 0.8, 0.2))
 
     def test_equal_points_do_not_dominate(self):
         p = TradeoffPoint(0, 0.9, 0.1)
         q = TradeoffPoint(1, 0.9, 0.1)
-        assert not dominates(p, q) and not dominates(q, p)
+        assert not oracles.dominates(p, q) and not oracles.dominates(q, p)
 
     def test_one_axis_each_way_is_incomparable(self):
         p = TradeoffPoint(0, 0.9, 0.2)
         q = TradeoffPoint(0, 0.8, 0.1)
-        assert not dominates(p, q) and not dominates(q, p)
+        assert not oracles.dominates(p, q) and not oracles.dominates(q, p)
 
 
 class TestParetoFrontier:
@@ -109,7 +112,7 @@ class TestParetoFrontier:
         for p in pts:
             if (p.disparity, p.accuracy) in kept_coords:
                 continue
-            assert any(dominates(f, p) for f in frontier)
+            assert any(oracles.dominates(f, p) for f in frontier)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from scipy.special import ndtri
 from scipy.stats import wasserstein_distance
 
-from fairpot._util import ceil_count, sigmoid, top_mask
+from fairpot._util import sigmoid, top_mask
 from fairpot.baselines import DEFAULT_SCALE_GRID, _group_quantile_maps, fit_post_logit
 from fairpot.datagen import _ndtri, fit_logistic_scorer
 from fairpot.metrics import (
@@ -34,11 +34,10 @@ from fairpot.metrics import (
 from fairpot.ot import (
     TransportPlan,
     barycentric_projection,
-    plan_cost,
     solve_ot_1d,
     wasserstein1_distance,
 )
-from fairpot.transport import apply_phi, apply_psi, build_score_map, fit_and_map, fit_transport
+from fairpot.transport import apply_psi, build_score_map, fit_and_map
 
 import oracles
 
@@ -82,7 +81,7 @@ def test_uniform_plan_equals_cell_walk(zs, zt):
 def test_plan_matches_lp_oracle(src, tgt):
     plan = solve_ot_1d(src, tgt)
     lp_cost, _ = oracles.lp_transport(src, tgt)
-    assert abs(plan_cost(plan, src, tgt) - lp_cost) <= 1e-9
+    assert abs(oracles.plan_cost(plan, src, tgt) - lp_cost) <= 1e-9
 
 
 @given(measures(), measures())
@@ -472,12 +471,17 @@ unit_scores = st.lists(
 lambda_grids = st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6).map(sorted)
 
 
-@given(unit_scores, unit_scores, lambda_grids)
+distinct_unit_scores = st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40, unique=True)
+
+
+@given(unit_scores, distinct_unit_scores, lambda_grids)
 def test_transported_index_sets_nest_in_lambda(a, b, lambdas):
-    plan = fit_transport(a, b)
+    """On tie-free b, a score the sweep moves at one lambda is moved at every
+    larger one."""
+    a, b = np.array(a), np.array(b)
     previous = set()
     for lam in lambdas:
-        moved = set(apply_phi(b, plan, a, lam).transported_index_set.tolist())
+        moved = set(np.flatnonzero(oracles.moved_by_the_sweep(a, b, lam) != b).tolist())
         assert previous <= moved
         previous = moved
 
@@ -493,18 +497,20 @@ tied_unit_scores = st.lists(
 @example([0.2, 0.9], [0.0, 0.5, -0.0, 0.5, 0.0], 0.5)
 @example([0.1], [0.5, 0.5, 0.5], 0.4)
 def test_apply_phi_moves_the_sorted_top(a, b, lam):
-    """The moved records are the first ceil(lam * n_b) of a stable
-    descending sort of b; they take their projections, the rest keep their
-    scores, bit for bit."""
+    """The sweep moves the first ceil(lam * n_b) of a stable descending sort
+    of b onto their projections and keeps the rest: its map of b's own
+    scores is psi over ``oracles.phi``'s output, bit for bit, and on tie-free
+    b, where psi hits each knot, that output itself. At lambda 0 it maps
+    nothing."""
     a, b = np.array(a), np.array(b)
-    plan = fit_transport(a, b)
-    result = apply_phi(b, plan, a, lam)
-    top = oracles.sorted_top_positions(b, ceil_count(lam, len(b)))
-    assert result.transported_index_set.dtype == top.dtype
-    assert np.array_equal(result.transported_index_set, top)
-    expected = b.copy()
-    expected[top] = barycentric_projection(plan, a)[top]
-    assert np.array_equal(bits(result.transported_scores), bits(expected))
+    got = oracles.moved_by_the_sweep(a, b, lam)
+    phi = oracles.phi(a, b, lam)
+    if lam == 0.0:
+        assert np.array_equal(bits(got), bits(b))
+        return
+    assert np.array_equal(bits(got), bits(apply_psi(build_score_map(b, phi), b)))
+    if len(set(b.tolist())) == len(b):
+        assert np.array_equal(bits(got), bits(phi))
 
 
 @given(tied_unit_scores, tied_unit_scores)
@@ -527,7 +533,7 @@ def test_a_fit_on_the_stably_sorted_cloud_is_the_fit_in_its_order(a, b):
 
 def psi(a, b, lam):
     """Score map of the group-b training scores moved by ``lam`` onto ``a``."""
-    return build_score_map(b, apply_phi(b, fit_transport(a, b), a, lam).transported_scores)
+    return build_score_map(b, oracles.phi(a, b, lam))
 
 
 @given(unit_scores, unit_scores, st.floats(0.0, 1.0), unit_scores)

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from fairpot import metrics
+from fairpot._util import ceil_count
 from fairpot.ot import barycentric_projection
 from fairpot.transport import (
     ScoreMap,
-    apply_phi,
     apply_psi,
     build_score_map,
     evaluate_grid,
@@ -50,10 +50,8 @@ class TestFitTransport:
         a, b = small_groups
         a, b = a[:6], b[:4]
         plan = fit_transport(a, b)
-        from fairpot.ot import plan_cost
-
         lp_cost, _ = oracles.lp_transport(b, a)
-        assert plan_cost(plan, b, a) == pytest.approx(lp_cost, abs=1e-9)
+        assert oracles.plan_cost(plan, b, a) == pytest.approx(lp_cost, abs=1e-9)
 
     def test_empty_group_named_in_error(self):
         with pytest.raises(ValueError, match="group a"):
@@ -63,81 +61,62 @@ class TestFitTransport:
 
 
 class TestApplyPhi:
+    """Phi, the top-lambda move, as the sweep applies it: the records of one
+    tie-free set, mapped as its own test set (``oracles.moved_by_the_sweep``)."""
+
     def test_lambda_zero_identity(self, small_groups):
         a, b = small_groups
-        plan = fit_transport(a, b)
-        result = apply_phi(b, plan, a, 0.0)
-        assert np.array_equal(result.transported_scores, b)
-        assert result.n_transported == 0
-        assert len(result.transported_index_set) == 0
+        assert np.array_equal(oracles.moved_by_the_sweep(a, b, 0.0), b)
 
     def test_lambda_one_full_projection(self, small_groups):
         a, b = small_groups
-        plan = fit_transport(a, b)
-        result = apply_phi(b, plan, a, 1.0)
-        assert np.array_equal(result.transported_scores, barycentric_projection(plan, a))
+        projected = barycentric_projection(fit_transport(a, b), a)
+        assert np.array_equal(oracles.moved_by_the_sweep(a, b, 1.0), projected)
 
     def test_half_of_four_moves_top_two(self):
         b = np.array([0.4, 0.9, 0.1, 0.6])
         a = np.array([0.2, 0.3, 0.7, 0.8])
-        plan = fit_transport(a, b)
-        result = apply_phi(b, plan, a, 0.5)
-        assert result.n_transported == 2
-        assert list(result.transported_index_set) == [1, 3]  # the two highest b scores
-        projected = barycentric_projection(plan, a)
-        assert result.transported_scores[1] == projected[1]
-        assert result.transported_scores[3] == projected[3]
-        assert result.transported_scores[0] == b[0]
-        assert result.transported_scores[2] == b[2]
+        moved = oracles.moved_by_the_sweep(a, b, 0.5)
+        assert np.flatnonzero(moved != b).tolist() == [1, 3]  # the two highest b scores
+        projected = barycentric_projection(fit_transport(a, b), a)
+        assert np.array_equal(moved[[1, 3]], projected[[1, 3]])
 
     def test_index_sets_nest_as_lambda_grows(self, small_groups):
         a, b = small_groups
-        plan = fit_transport(a, b)
         previous = set()
         for lam in np.linspace(0, 1, 11):
-            current = set(apply_phi(b, plan, a, float(lam)).transported_index_set)
+            moved = oracles.moved_by_the_sweep(a, b, float(lam))
+            current = set(np.flatnonzero(moved != b))
+            assert len(current) == ceil_count(lam, len(b))
             assert previous <= current
             previous = current
 
     def test_transported_order_matches_original_order(self, small_groups):
         a, b = small_groups
-        plan = fit_transport(a, b)
-        result = apply_phi(b, plan, a, 0.7)
-        idx = result.transported_index_set
+        moved = oracles.moved_by_the_sweep(a, b, 0.7)
+        idx = np.flatnonzero(moved != b)
         original_order = np.argsort(-b[idx], kind="stable")
-        moved_order = np.argsort(-result.transported_scores[idx], kind="stable")
+        moved_order = np.argsort(-moved[idx], kind="stable")
         assert np.array_equal(original_order, moved_order)
 
     def test_hull_containment(self, small_groups):
         a, b = small_groups
-        plan = fit_transport(a, b)
-        result = apply_phi(b, plan, a, 1.0)
-        assert result.transported_scores.min() >= a.min()
-        assert result.transported_scores.max() <= a.max()
+        moved = oracles.moved_by_the_sweep(a, b, 1.0)
+        assert moved.min() >= a.min()
+        assert moved.max() <= a.max()
 
     def test_lambda_domain(self, small_groups):
-        a, b = small_groups
-        plan = fit_transport(a, b)
-        with pytest.raises(ValueError):
-            apply_phi(b, plan, a, 1.5)
+        with pytest.raises(ValueError, match="lambda values must lie in"):
+            oracles.moved_by_the_sweep(*small_groups, 1.5)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_scores_rejected(self, small_groups, bad):
+        # a set that the sweep maps holds no non-finite score for the move to meet
         a, b = small_groups
-        plan = fit_transport(a, b)
         b = b.copy()
         b[2] = bad
-        for lam in (0.0, 0.5, 1.0):
-            with pytest.raises(ValueError, match="^scores_b_train must be finite$"):
-                apply_phi(b, plan, a, lam)
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_reference_scores_rejected(self, bad):
-        a, b = np.array([0.2, 0.5, 0.9]), np.array([0.1, 0.4, 0.3, 0.8])
-        plan = fit_transport(a, b)
-        a[2] = bad
-        with pytest.raises(ValueError, match="^target support points must be finite$"):
-            apply_phi(b, plan, a, 1.0)
+        with pytest.raises(ValueError, match=r"^scores must be finite and in \[0, 1\]$"):
+            oracles.moved_by_the_sweep(a, b, 0.5)
 
 
 class TestScoreMap:
@@ -176,10 +155,9 @@ class TestScoreMap:
 class TestApplyPsi:
     def test_knot_hit_is_exact(self, small_groups):
         a, b = small_groups
-        plan = fit_transport(a, b)
-        phi = apply_phi(b, plan, a, 0.6)
-        m = build_score_map(b, phi.transported_scores)
-        assert np.array_equal(apply_psi(m, b), phi.transported_scores)
+        phi = oracles.phi(a, b, 0.6)
+        m = build_score_map(b, phi)
+        assert np.array_equal(apply_psi(m, b), phi)
 
     def test_knot_hit_is_exact_where_the_slope_overflows(self):
         # (0.7 - 0.2) / 5e-324 overflows to inf, so a hit on the first knot
@@ -234,9 +212,8 @@ class TestSweep:
         # matching metrics bit for bit proves sweep never moves the reference
         train, test = random_split_sets(903)
         points = sweep(train, test, [1.0])
-        plan = fit_transport(train.group_scores("a"), train.group_scores("b"))
-        phi = apply_phi(train.group_scores("b"), plan, train.group_scores("a"), 1.0)
-        m = build_score_map(train.group_scores("b"), phi.transported_scores)
+        phi = oracles.phi(train.group_scores("a"), train.group_scores("b"), 1.0)
+        m = build_score_map(train.group_scores("b"), phi)
         merged = test.replace_group_scores("b", apply_psi(m, test.group_scores("b")))
         assert np.array_equal(merged.group_scores("a"), test.group_scores("a"))
         assert points[0].accuracy == metrics.auc(merged)
@@ -266,8 +243,7 @@ class TestSweep:
         train_sub = train.subset(train_region.member_indices)
         test_sub = test.subset(test_region.member_indices)
         a, b = train_sub.group_scores("a"), train_sub.group_scores("b")
-        phi = apply_phi(b, fit_transport(a, b), a, 1.0)
-        m = build_score_map(train_sub.group_scores("b"), phi.transported_scores)
+        m = build_score_map(b, oracles.phi(a, b, 1.0))
         merged = test_sub.replace_group_scores("b", apply_psi(m, test_sub.group_scores("b")))
         whole = metrics.top_alpha_region(merged, 1.0)
         assert points[0].accuracy == metrics.pauc(merged, whole)
@@ -339,29 +315,28 @@ def test_cells_are_taken_once_per_evaluation(monkeypatch, mode, drawn):
 
 
 def reference_sweep(train, test, lambdas, mode, alpha, direction):
-    """Sweep rebuilt per lambda from the public phi -> score map -> psi chain.
+    """Sweep rebuilt per lambda, in record order, from the oracle's phi, the
+    score map and psi, its regions taken by a stable sort.
 
     Returns the evaluated test set and the (accuracy, disparity) per lambda.
     """
     moving, reference = ("b", "a") if direction == "b_to_a" else ("a", "b")
     if mode == "partial":
-        train = train.subset(metrics.top_alpha_region(train, alpha).member_indices)
-        test = test.subset(metrics.top_alpha_region(test, alpha).member_indices)
+        train = train.subset(oracles.sorted_top_alpha_region(train, alpha).member_indices)
+        test = test.subset(oracles.sorted_top_alpha_region(test, alpha).member_indices)
     mov, ref = train.group_scores(moving), train.group_scores(reference)
-    plan = fit_transport(ref, mov)
     evaluated, values = [], []
     for lam in lambdas:
         transformed = test.group_scores(moving)
         if lam != 0.0:
-            phi = apply_phi(mov, plan, ref, lam)
-            score_map = build_score_map(mov, phi.transported_scores)
+            score_map = build_score_map(mov, oracles.phi(ref, mov, lam))
             transformed = apply_psi(score_map, transformed)
         merged = test.replace_group_scores(moving, transformed)
         evaluated.append(merged)
         if mode == "global":
             values.append((metrics.auc(merged), metrics.xauc_disparity(merged)))
         else:
-            whole = metrics.top_alpha_region(merged, 1.0)
+            whole = oracles.sorted_top_alpha_region(merged, 1.0)
             values.append((metrics.pauc(merged, whole), metrics.pxauc_disparity(merged, whole)))
     return evaluated, values
 
@@ -410,7 +385,7 @@ def test_sweep_equals_per_lambda_pipeline_with_ties(mode, direction, seed, monke
     # and each mapped test set gives every record, in record order, the
     # reference chain's score bit for bit
     mapped = fit_and_map(train, test, lams, mode, alpha, direction)
-    region = None if mode == "global" else metrics.top_alpha_region(test, alpha).member_indices
+    region = None if mode == "global" else oracles.sorted_top_alpha_region(test, alpha).member_indices
     assert len(mapped) == len(evaluated)
     for (lam, got), want in zip(mapped, evaluated):
         got = got if region is None else got.subset(region)
