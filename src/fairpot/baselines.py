@@ -22,7 +22,6 @@ class PostLogitParams:
 
     scale: float
     offset: float
-    grid: tuple[float, ...]
 
     def __post_init__(self) -> None:
         if self.scale <= 0:
@@ -64,7 +63,7 @@ def fit_post_logit(
     best_scale = None
     best_disparity = np.inf
     for scale in sorted(grid):
-        candidate = PostLogitParams(scale=scale, offset=offset, grid=grid)
+        candidate = PostLogitParams(scale=scale, offset=offset)
         new_pos = apply_post_logit(candidate, b_pos)
         new_neg = apply_post_logit(candidate, b_neg)
         if not (np.all(np.isfinite(new_pos)) and np.all(np.isfinite(new_neg))):
@@ -81,7 +80,7 @@ def fit_post_logit(
         if disparity < best_disparity:
             best_disparity = disparity
             best_scale = scale
-    return PostLogitParams(scale=best_scale, offset=offset, grid=grid)
+    return PostLogitParams(scale=best_scale, offset=offset)
 
 
 def _group_quantile_maps(train_scores: np.ndarray):

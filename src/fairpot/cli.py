@@ -64,13 +64,20 @@ def _score_paths(config: ExperimentConfig) -> tuple[Path, Path]:
     return train, test
 
 
+def _n_train(config: ExperimentConfig, n: int) -> int:
+    """Training records of a synthetic split of ``n`` records; ConfigError
+    when ``split_ratio`` leaves either side empty."""
+    n_train = int(round(config.split_ratio * n))
+    if n_train < 1 or n_train >= n:
+        raise ConfigError(f"split_ratio {config.split_ratio} leaves an empty split")
+    return n_train
+
+
 def _synthetic_scored_split(config: ExperimentConfig, seed: int) -> tuple[ScoreSet, ScoreSet]:
     cohort = generate_synthetic(SyntheticConfig(seed=seed))
     n = len(cohort)
     perm = stream(seed, STAGE_SPLIT).permutation(n)
-    n_train = int(round(config.split_ratio * n))
-    if n_train < 1 or n_train >= n:
-        raise ConfigError(f"split_ratio {config.split_ratio} leaves an empty split")
+    n_train = _n_train(config, n)
     train_idx, test_idx = perm[:n_train], perm[n_train:]
     scorer = fit_logistic_scorer(cohort.features[train_idx], cohort.labels[train_idx])
 
@@ -184,10 +191,7 @@ def cmd_synth(args) -> int:
     train_path, test_path = _score_paths(config)
     Path(config.output_dir).mkdir(parents=True, exist_ok=True)
     for score_set, path in ((train, train_path), (test, test_path)):
-        try:
-            write_score_file(score_set, path)
-        except OSError as exc:
-            raise RuntimeError(f"cannot write score file {path}: {exc}") from None
+        write_score_file(score_set, path)
         print(f"wrote {path} ({len(score_set)} records)")
     return 0
 
@@ -230,6 +234,7 @@ def cmd_sweep(args) -> int:
                 base_test, mapped, config.mode, config.alpha, n_reps, draw
             )
     else:
+        _n_train(config, SyntheticConfig().n_samples)  # checked once: every cohort has this size
         outcomes = _synthetic_replicates(config, n_reps)
 
     alpha_out = config.alpha if config.mode == "partial" else 1.0
@@ -282,10 +287,17 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_pareto(args) -> int:
-    all_rows: list[SweepRow] = []
+    # each row by its (method, lambda, replicate), beside where it was read
+    read: dict[tuple[str, float, int], tuple[str, SweepRow]] = {}
     for path in args.inputs:
-        all_rows.extend(read_sweep_results(path))
-    ok_rows = [r for r in all_rows if not r.failed]
+        for i, r in enumerate(read_sweep_results(path), start=1):
+            key, place = (r.method, r.lam, r.replicate), f"row {i} of {path}"
+            if key in read:
+                raise ScoreFileError(
+                    f"(method, lambda, replicate) {key} is read twice: {read[key][0]} and {place}"
+                )
+            read[key] = place, r
+    ok_rows = [r for _, r in read.values() if not r.failed]
     if not ok_rows:
         raise RuntimeError("no successful sweep rows in the input files")
     alphas = {r.alpha for r in ok_rows}

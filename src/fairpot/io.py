@@ -13,7 +13,7 @@ import os
 from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
-from io import BytesIO
+from io import BytesIO, TextIOWrapper
 from pathlib import Path
 
 import numpy as np
@@ -49,15 +49,18 @@ def _fmt(x: float) -> str:
 def open_atomic(path, mode: str = "w"):
     """Open a temporary file beside ``path`` for writing and move it over
     ``path`` only when the block completes, so readers see the old file or
-    the whole new one. On an exception the temporary file is removed."""
+    the whole new one. On an exception the temporary file is removed; an
+    ``OSError`` is raised again as ``cannot write <path>: <reason>``."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with tmp.open(mode, newline=None if "b" in mode else "") as fh:
             yield fh
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError):
+            raise OSError(f"cannot write {path}: {exc.strerror or exc}") from exc
         raise
 
 
@@ -81,9 +84,10 @@ def read_score_file(path) -> ScoreSet:
     """
     path = Path(path)
     with path.open("rb") as fh:
-        # a pipe cannot be read twice: its bytes are parsed from memory
-        records = _parse_plain_score_file(fh if fh.seekable() else BytesIO(fh.read()))
-    return records if records is not None else _read_score_rows(path)
+        # a pipe cannot be read twice: both readers read its bytes from memory
+        data = fh if fh.seekable() else BytesIO(fh.read())
+        records = _parse_plain_score_file(data)
+        return records if records is not None else _read_score_rows(path, data)
 
 
 # What a plain score file is made of: printable ASCII other than the quote
@@ -333,12 +337,15 @@ def _eight_digits(words: np.ndarray, n: np.ndarray):
     return x, (wrong & keep) == 0
 
 
-def _csv_rows(path: Path, header: list[str]):
-    """``(line number, fields)`` of each non-blank row of a csv file after its
-    header; raises ``ScoreFileError`` for a header other than ``header`` and
-    for a row with another number of fields."""
-    with path.open("r", newline="") as fh:
-        reader = csv.reader(fh)
+def _csv_rows(path: Path, fh, header: list[str]):
+    """``(line number, fields)`` of each non-blank row after its header of
+    the csv file at ``path``, open for binary reading as ``fh``, which is
+    read from its start and closed once the rows are read or abandoned;
+    raises ``ScoreFileError`` for a header other than ``header`` and for a
+    row with another number of fields."""
+    fh.seek(0)
+    with TextIOWrapper(fh, newline="") as text:
+        reader = csv.reader(text)
         if next(reader, None) != header:
             raise ScoreFileError(f"{path}:1: expected header {','.join(header)}")
         for lineno, row in enumerate(reader, start=2):
@@ -351,14 +358,15 @@ def _csv_rows(path: Path, header: list[str]):
             yield lineno, row
 
 
-def _read_score_rows(path: Path) -> ScoreSet:
-    """Records of a score file read one ``csv`` row at a time; raises
-    ``ScoreFileError`` naming the line of the first bad row."""
+def _read_score_rows(path: Path, fh) -> ScoreSet:
+    """Records of the score file at ``path``, open for binary reading as
+    ``fh``, read one ``csv`` row at a time; raises ``ScoreFileError`` naming
+    the line of the first bad row."""
     scores: list[float] = []
     labels: list[int] = []
     groups: list[str] = []
     seen_ids: set[str] = set()
-    for lineno, (rid, score_s, label_s, group) in _csv_rows(path, SCORE_HEADER):
+    for lineno, (rid, score_s, label_s, group) in _csv_rows(path, fh, SCORE_HEADER):
         if rid in seen_ids:
             raise ScoreFileError(f"{path}:{lineno}: duplicate id {rid!r}")
         seen_ids.add(rid)
@@ -457,7 +465,7 @@ def read_sweep_results(path) -> list[SweepRow]:
     disparity neither nan (a failed row) nor in [0, 1]."""
     path = Path(path)
     rows: list[SweepRow] = []
-    for lineno, row in _csv_rows(path, SWEEP_HEADER):
+    for lineno, row in _csv_rows(path, path.open("rb"), SWEEP_HEADER):
         try:
             r = SweepRow(
                 method=row[0],

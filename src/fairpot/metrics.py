@@ -21,7 +21,8 @@ walks them over every replicate and lambda.
 The top-alpha region of ``top_alpha_region`` and ``select_region`` is taken
 on a score array by ``_util.top_mask``: the k highest scores, ties toward the
 lower position. The top-lambda move of ``transport.fit_and_map`` selects by
-the same function.
+the same function. A ``TopAlphaRegion`` is nothing but its members'
+positions, which ``pauc`` and ``pxauc`` read.
 """
 
 from __future__ import annotations
@@ -121,11 +122,13 @@ class ScoreSet:
     def cells(self) -> dict[tuple[int, str], np.ndarray]:
         """Positions of the records of each (label, group) cell, in record
         order, 4 bytes each below 2**31 records (``_util.position_dtype``).
-        Shared by sets that hold the same records' labels and groups."""
+        Read-only, since sets that hold the same records' labels and groups
+        share them."""
         masks = _cell_masks(self.is_pos, self.in_group_a)
         dtype = position_dtype(len(self))
         return {
-            cell: np.flatnonzero(mask).astype(dtype, copy=False) for cell, mask in masks.items()
+            cell: _read_only(np.flatnonzero(mask).astype(dtype, copy=False))
+            for cell, mask in masks.items()
         }
 
     @cached_property
@@ -152,9 +155,6 @@ class ScoreSet:
         out = object.__new__(cls)
         for name, arr in (("scores", scores), ("is_pos", is_pos), ("in_group_a", in_group_a)):
             object.__setattr__(out, name, _read_only(arr))
-        for arr in cached.values():
-            if isinstance(arr, np.ndarray):
-                arr.setflags(write=False)
         out.__dict__.update(cached)
         return out
 
@@ -220,17 +220,13 @@ def require_both_groups(
 
 @dataclass(frozen=True)
 class TopAlphaRegion:
-    """The ceil(alpha * N) highest-scoring indices of a ScoreSet.
-
-    Ties at the threshold are broken toward lower original index so the region
-    always contains exactly ``n_alpha`` members. ``member_indices`` is kept
-    read-only, in the ``_util.position_dtype`` of the smallest set it can
-    index, one record past its largest member: 4 bytes each below 2**31.
+    """The records of a ScoreSet that ``pauc`` and ``pxauc`` read, as their
+    positions in it; ``top_alpha_region`` gives the ceil(alpha * N)
+    highest-scoring ones. ``member_indices`` takes integers of any width, and
+    is kept read-only, in the ``_util.position_dtype`` of the smallest set it
+    can index, one record past its largest member: 4 bytes each below 2**31.
     """
 
-    alpha: float
-    n_alpha: int
-    threshold: float
     member_indices: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
@@ -238,8 +234,11 @@ class TopAlphaRegion:
         idx = idx.astype(position_dtype(int(idx.max()) + 1 if idx.size else 0), copy=False)
         idx.setflags(write=False)
         object.__setattr__(self, "member_indices", idx)
-        if len(idx) != self.n_alpha:
-            raise ValueError("member_indices size must equal n_alpha")
+
+    @property
+    def n_alpha(self) -> int:
+        """The number of members."""
+        return len(self.member_indices)
 
 
 def count_pairs_above(pos_scores: np.ndarray, sorted_neg_scores: np.ndarray) -> int:
@@ -289,8 +288,13 @@ class PairCounts:
 
     def xauc(self, from_group: str, to_group: str) -> float:
         """Share of the (``from_group`` positive, ``to_group`` negative) pairs
-        ranked correctly; 0.0 when either side is empty."""
-        pairs = self.n_pos.get(from_group, 0) * self.n_neg.get(to_group, 0)
+        ranked correctly; 0.0 when either side is empty. The groups must be
+        the two distinct ``GROUPS``."""
+        if from_group == to_group:
+            raise ValueError("xauc requires two distinct groups")
+        _check_group(from_group)
+        _check_group(to_group)
+        pairs = self.n_pos[from_group] * self.n_neg[to_group]
         return self.above[from_group, to_group] / pairs if pairs else 0.0
 
     def xauc_disparity(self) -> float:
@@ -307,11 +311,8 @@ def auc(s: ScoreSet) -> float:
 
 def xauc(s: ScoreSet, from_group: str, to_group: str) -> float:
     """Fraction of cross-group pairs where a ``from_group`` positive outranks a
-    ``to_group`` negative. Empty index sets yield 0.0 by convention."""
-    if from_group == to_group:
-        raise ValueError("xauc requires two distinct groups")
-    _check_group(from_group)
-    _check_group(to_group)
+    ``to_group`` negative. Empty index sets yield 0.0 by convention; groups
+    that are not two distinct ``GROUPS`` are a ValueError."""
     return s.pair_counts.xauc(from_group, to_group)
 
 
@@ -321,18 +322,13 @@ def xauc_disparity(s: ScoreSet) -> float:
 
 
 def top_alpha_region(s: ScoreSet, alpha: float) -> TopAlphaRegion:
-    """Select the ceil(alpha * N) records with the highest scores, those of
-    ``select_region(s, "partial", alpha)``, and their lowest score.
+    """The region of the ceil(alpha * N) records with the highest scores (at
+    least one), those of ``select_region(s, "partial", alpha)``.
 
-    Ties at the threshold keep the record with the lower original index, so the
-    selection is deterministic and has exactly the requested size.
+    Ties at the lowest score taken keep the records with the lower positions,
+    so the selection is deterministic and has exactly the requested size.
     """
-    members = select_region(s, "partial", alpha)
-    taken = s.scores[members]
-    # the last of the lowest ties taken, as a stable descending sort ranks
-    # them, which keeps its sign of zero
-    threshold = taken[np.flatnonzero(taken == taken.min())[-1]]
-    return TopAlphaRegion(alpha, len(members), float(threshold), members)
+    return TopAlphaRegion(select_region(s, "partial", alpha))
 
 
 def _region_counts(s: ScoreSet, region: TopAlphaRegion) -> PairCounts:
@@ -355,9 +351,8 @@ def pauc(s: ScoreSet, region: TopAlphaRegion) -> float:
 
 
 def pxauc(s: ScoreSet, region: TopAlphaRegion, from_group: str, to_group: str) -> float:
-    """Cross-group ranking probability restricted to the region; 0.0 on empty sets."""
-    if from_group == to_group:
-        raise ValueError("pxauc requires two distinct groups")
+    """Cross-group ranking probability restricted to the region; 0.0 on empty
+    sets. Its groups are checked as ``xauc`` checks them."""
     return _region_counts(s, region).xauc(from_group, to_group)
 
 

@@ -69,10 +69,6 @@ class ScoreMap:
     def __len__(self) -> int:
         return len(self.knots_x)
 
-    def evaluate(self, values) -> np.ndarray:
-        # np.interp returns a knot's y, bit for bit, for a query equal to its x
-        return np.interp(np.asarray(values, dtype=float), *self._interp_knots)
-
 
 def fit_transport(scores_a_train, scores_b_train) -> TransportPlan:
     """Optimal coupling from the group-b score cloud onto the group-a cloud."""
@@ -113,7 +109,8 @@ def build_score_map(original_train, transported_train) -> ScoreMap:
 
 def apply_psi(score_map: ScoreMap, scores_b_test) -> np.ndarray:
     """Push test scores through the interpolation map, clamped at the boundary."""
-    return score_map.evaluate(scores_b_test)
+    # np.interp returns a knot's y, bit for bit, for a query equal to its x
+    return np.interp(np.asarray(scores_b_test, dtype=float), *score_map._interp_knots)
 
 
 def _moving_reference(direction: str) -> tuple[str, str]:

@@ -216,7 +216,7 @@ def loop_fit_post_logit(
     best_scale = None
     best_disparity = np.inf
     for scale in sorted(grid):
-        candidate = PostLogitParams(scale=scale, offset=offset, grid=grid)
+        candidate = PostLogitParams(scale=scale, offset=offset)
         transformed = train.replace_group_scores(
             GROUP_B, apply_post_logit(candidate, scores_b)
         )
@@ -224,7 +224,7 @@ def loop_fit_post_logit(
         if disparity < best_disparity:
             best_disparity = disparity
             best_scale = scale
-    return PostLogitParams(scale=best_scale, offset=offset, grid=grid)
+    return PostLogitParams(scale=best_scale, offset=offset)
 
 
 def unique_quantile_maps(train_scores):
@@ -281,13 +281,7 @@ def sorted_top_alpha_region(s: ScoreSet, alpha: float) -> TopAlphaRegion:
     including the whole set."""
     n_alpha = max(1, ceil_count(alpha, len(s)))
     order = np.argsort(-s.scores, kind="stable")
-    chosen = order[:n_alpha]
-    return TopAlphaRegion(
-        alpha=alpha,
-        n_alpha=n_alpha,
-        threshold=float(s.scores[chosen[-1]]),
-        member_indices=np.sort(chosen),
-    )
+    return TopAlphaRegion(np.sort(order[:n_alpha]))
 
 
 def loop_read_score_file(path) -> ScoreSet:

@@ -32,22 +32,22 @@ def group_auc(s: ScoreSet, group: str) -> float:
 
 class TestApplyPostLogit:
     def test_sigmoid_at_zero(self):
-        params = PostLogitParams(scale=1.0, offset=0.0, grid=(1.0,))
+        params = PostLogitParams(scale=1.0, offset=0.0)
         assert apply_post_logit(params, [0.0])[0] == 0.5
 
     def test_scale_offset_cancel(self):
-        params = PostLogitParams(scale=2.0, offset=-1.0, grid=(2.0,))
+        params = PostLogitParams(scale=2.0, offset=-1.0)
         assert apply_post_logit(params, [0.5])[0] == 0.5
 
     def test_monotone(self):
-        params = PostLogitParams(scale=3.0, offset=0.2, grid=(3.0,))
+        params = PostLogitParams(scale=3.0, offset=0.2)
         rng = np.random.default_rng(8)
         s = np.sort(rng.random(30))
         out = apply_post_logit(params, s)
         assert np.all(np.diff(out) > 0)
 
     def test_output_open_unit_interval(self):
-        params = PostLogitParams(scale=10.0, offset=0.0, grid=(10.0,))
+        params = PostLogitParams(scale=10.0, offset=0.0)
         out = apply_post_logit(params, [0.0, 1.0])
         assert np.all((out > 0) & (out < 1))
 
@@ -67,7 +67,7 @@ class TestFitPostLogit:
         scores_b = train.group_scores(GROUP_B)
         disparities = {}
         for scale in grid:
-            cand = PostLogitParams(scale=scale, offset=0.0, grid=grid)
+            cand = PostLogitParams(scale=scale, offset=0.0)
             tr = train.replace_group_scores(GROUP_B, apply_post_logit(cand, scores_b))
             disparities[scale] = xauc_disparity(tr)
         assert disparities[params.scale] == min(disparities.values())

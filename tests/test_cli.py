@@ -629,6 +629,40 @@ class TestPareto:
         out = tmp_path / "frontier.csv"
         assert run("pareto", str(fair), str(partial), "--output", str(out)) == 2
 
+    def test_a_file_merged_with_itself_rejected(self, tmp_path, capsys):
+        # its replicates would be counted twice
+        fair, _ = self._make_results(tmp_path)
+        capsys.readouterr()
+        out = tmp_path / "frontier.csv"
+        assert run("pareto", str(fair), str(fair), "--output", str(out)) == 2
+        assert capsys.readouterr().err == (
+            "error: (method, lambda, replicate) ('fairpot', 0.0, 0) is read twice: "
+            f"row 1 of {fair} and row 1 of {fair}\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode", transport.MODES)
+    def test_two_directions_of_one_method_rejected(self, tmp_path, capsys, mode):
+        # the two directions' rows of one method would be averaged together
+        results = [
+            GOLDEN_DIR / f"{direction}_sweep_fairpot_{mode}_results.csv"
+            for direction in ("b_to_a", "a_to_b")
+        ]
+        out = tmp_path / "frontier.csv"
+        assert run("pareto", *map(str, results), "--output", str(out)) == 2
+        assert capsys.readouterr().err == (
+            "error: (method, lambda, replicate) ('fairpot', 0.0, 0) is read twice: "
+            f"row 1 of {results[0]} and row 1 of {results[1]}\n"
+        )
+        assert not out.exists()
+
+    def test_a_failed_write_names_its_file(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "frontier.csv"
+        results = GOLDEN_DIR / "b_to_a_sweep_fairpot_global_results.csv"
+        assert run("pareto", str(results), "--output", str(out)) == 1
+        assert capsys.readouterr().err == f"error: cannot write {out}: No such file or directory\n"
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize(
         "column, value, every_row, message",
         [
@@ -679,6 +713,14 @@ class TestExitCodes:
                    "--seed", "-3") == 2
         assert "seed must be non-negative" in capsys.readouterr().err
         assert not (tmp_path / "sweep_fairpot_global_results.csv").exists()
+
+    def test_empty_split_rejected_by_sweep_as_by_synth(self, tmp_path, capsys):
+        # checked once, before any replicate draws its cohort
+        cfg = write_config(tmp_path, output_dir=str(tmp_path / "out"), split_ratio=0.0001)
+        for command in ("synth", "sweep"):
+            assert run(command, "--config", cfg) == 2
+            assert capsys.readouterr().err == "error: split_ratio 0.0001 leaves an empty split\n"
+        assert not (tmp_path / "out").exists()
 
     def test_duplicate_lambdas_rejected(self, tmp_path, capsys):
         cfg = write_config(
@@ -839,13 +881,15 @@ def test_golden_sweep_bytes(name, golden_outputs):
 @pytest.mark.parametrize("mode", transport.MODES)
 def test_golden_results_and_their_frontier_read_back(tmp_path, mode):
     """The results files that sweeps write, and the frontier that a pareto
-    merge of them writes, read back into rows that write the same bytes."""
-    results = sorted(GOLDEN_DIR.glob(f"*_{mode}_results.csv"))
-    frontier = tmp_path / "frontier.csv"
-    assert run("pareto", *map(str, results), "--output", str(frontier)) == 0
-    for path in [*results, frontier]:
-        write_sweep_results(read_sweep_results(path), tmp_path / "again.csv")
-        assert (tmp_path / "again.csv").read_bytes() == path.read_bytes(), path.name
+    merge of one direction's files writes, read back into rows that write the
+    same bytes."""
+    for direction in transport.DIRECTIONS:
+        results = sorted(GOLDEN_DIR.glob(f"{direction}_*_{mode}_results.csv"))
+        frontier = tmp_path / f"{direction}_frontier.csv"
+        assert run("pareto", *map(str, results), "--output", str(frontier)) == 0
+        for path in [*results, frontier]:
+            write_sweep_results(read_sweep_results(path), tmp_path / "again.csv")
+            assert (tmp_path / "again.csv").read_bytes() == path.read_bytes(), path.name
 
 
 @pytest.mark.parametrize("mode", transport.MODES)

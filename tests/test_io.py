@@ -254,6 +254,32 @@ def test_score_file_from_a_pipe(tmp_path):
     assert got == _read(oracles.loop_read_score_file, path)
 
 
+@pytest.mark.skipif(
+    not hasattr(os, "fork") or not os.path.isdir("/dev/fd"), reason="needs fork and /dev/fd"
+)
+def test_non_plain_score_file_from_a_pipe(tmp_path):
+    # a quoted id sends the file to the row reader, which reads the bytes
+    # that the bulk parser took from the pipe: a pipe cannot be read twice
+    path = tmp_path / "scores.csv"
+    path.write_text(f'{HEADER}\n"r0",0.5,1,a\nr1,0.25,0,b\n')
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the writer
+        try:
+            os.close(read_fd)
+            os.write(write_fd, path.read_bytes())
+        finally:
+            os._exit(0)
+    os.close(write_fd)
+    try:
+        got = _read(read_score_file, f"/dev/fd/{read_fd}")
+    finally:
+        os.close(read_fd)
+        os.waitpid(pid, 0)
+    assert got == _read(read_score_file, path)
+    assert got[1] == [1, 0]
+
+
 def test_plain_files_are_parsed_in_bulk(tmp_path, monkeypatch):
     rng = np.random.default_rng(53)
     s = oracles.random_score_set(rng, 300, score_pool=np.round(rng.random(40), 10))
@@ -266,7 +292,7 @@ def test_plain_files_are_parsed_in_bulk(tmp_path, monkeypatch):
     files = (lf, crlf, long_ids, no_end)
     expected = [_read(oracles.loop_read_score_file, p) for p in files]
 
-    def row_reader(path):
+    def row_reader(path, fh):
         raise AssertionError(f"{path} was read row by row")
 
     monkeypatch.setattr("fairpot.io._read_score_rows", row_reader)
@@ -296,6 +322,12 @@ def test_written_scores_are_converted_in_bulk(tmp_path):
     expected = oracles.loop_read_score_file(path).scores
     assert values.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
     assert _read(read_score_file, path) == _read(oracles.loop_read_score_file, path)
+
+
+def read_rows(path):
+    """The records of the score file at ``path`` as the row reader reads them."""
+    with open(path, "rb") as fh:
+        return fairpot_io._read_score_rows(path, fh)
 
 
 def _read(read, path):
@@ -387,7 +419,7 @@ def test_block_parse_equals_the_row_reader(tmp_path_factory, case):
             bulk = fairpot_io._parse_plain_score_file(fh)
         got = _read(read_score_file, path)
     assert (bulk is not None) == plain
-    assert got == _read(fairpot_io._read_score_rows, path)
+    assert got == _read(read_rows, path)
     if not plain:
         assert got[0] is ScoreFileError and got[1].startswith(f"{path}:")
 
@@ -494,6 +526,15 @@ class TestAtomicWrites:
             self.WRITERS[writer](path)
         assert path.read_bytes() == earlier
         assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+    @pytest.mark.parametrize("writer", sorted(WRITERS))
+    def test_write_into_a_missing_directory_names_its_file(self, tmp_path, writer):
+        path = tmp_path / "missing" / "out"
+        with pytest.raises(OSError) as exc:
+            self.WRITERS[writer](path)
+        assert str(exc.value).startswith(f"cannot write {path}: ")
+        assert ".tmp" not in str(exc.value)
+        assert list(tmp_path.rglob("*")) == []
 
 
 class TestExperimentConfig:

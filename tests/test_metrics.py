@@ -12,6 +12,7 @@ from fairpot.metrics import (
     auc,
     evaluate_cells,
     pauc,
+    pxauc,
     pxauc_disparity,
     region_cells,
     select_region,
@@ -93,6 +94,15 @@ class TestScoreSet:
         assert "cells" not in s.with_scores(np.array([0.1, 0.2, 0.3])).__dict__
         cells = s.cells
         assert s.with_scores(np.array([0.1, 0.2, 0.3])).cells is cells
+
+    def test_shared_cells_are_read_only(self):
+        # a write into one set's cells would move the records of every set
+        # that shares them
+        s = make_set([0.2, 0.9, 0.5, 0.4], [1, 0, 1, 0], ["b", "b", "a", "a"])
+        with pytest.raises(ValueError, match="read-only"):
+            s.cells[1, GROUP_A][0] = 3
+        assert s.with_scores(np.array([0.1, 0.2, 0.3, 0.4])).cells[1, GROUP_A].tolist() == [2]
+        assert not any(idx.flags.writeable for idx in s.cells.values())
 
     def test_subset_rejects_2d_indices(self):
         s = make_set([0.2, 0.9, 0.5], [1, 0, 1], ["a", "b", "a"])
@@ -204,6 +214,15 @@ class TestXauc:
         with pytest.raises(ValueError):
             xauc(s, GROUP_A, GROUP_A)
 
+    @pytest.mark.parametrize("groups", [("a", "c"), ("c", "b"), ("b", "b")])
+    def test_region_groups_checked_as_xauc_checks_them(self, groups):
+        s = make_set([0.9, 0.1, 0.6, 0.3], [1, 0, 1, 0], ["a", "a", "b", "b"])
+        with pytest.raises(ValueError) as expected:
+            xauc(s, *groups)
+        with pytest.raises(ValueError) as got:
+            pxauc(s, top_alpha_region(s, 0.5), *groups)
+        assert str(got.value) == str(expected.value)
+
 
 class TestXaucDisparity:
     def test_symmetric_data(self):
@@ -225,7 +244,7 @@ class TestTopAlphaRegion:
         s = make_set([0.3, 0.8, 0.5], [1, 0, 1], ["a", "b", "a"])
         r = top_alpha_region(s, 1.0)
         assert list(r.member_indices) == [0, 1, 2]
-        assert r.threshold == 0.3
+        assert r.n_alpha == 3
 
     def test_ceiling(self):
         s = make_set(np.linspace(0.05, 0.95, 10), [1] * 10, ["a"] * 10)
@@ -236,7 +255,7 @@ class TestTopAlphaRegion:
         s = make_set(scores, [1] * 7, ["a"] * 7)
         r = top_alpha_region(s, 0.3)  # ceil(2.1) = 3
         assert r.n_alpha == 3
-        assert r.threshold == 0.7
+        assert s.scores[r.member_indices].min() == 0.7
         assert sorted(s.scores[r.member_indices], reverse=True) == [0.9, 0.8, 0.7]
 
     def test_tie_break_prefers_low_index(self):
@@ -255,12 +274,13 @@ class TestTopAlphaRegion:
     )
     def test_non_integer_members_rejected(self, members):
         with pytest.raises(ValueError, match="^indices must be integers, got dtype "):
-            TopAlphaRegion(alpha=1.0, n_alpha=2, threshold=0.1, member_indices=members)
+            TopAlphaRegion(members)
 
     def test_members_of_any_integer_width_or_none(self):
-        r = TopAlphaRegion(1.0, 2, 0.1, np.array([1, 2], dtype=np.uint64))
+        r = TopAlphaRegion(np.array([1, 2], dtype=np.uint64))
         assert r.member_indices.tolist() == [1, 2] and r.member_indices.dtype == np.int32
-        assert len(TopAlphaRegion(1.0, 0, 0.1, []).member_indices) == 0
+        assert r.n_alpha == 2
+        assert TopAlphaRegion([]).n_alpha == 0
 
 
 class TestPauc:

@@ -296,8 +296,8 @@ def test_sigmoid_scalar_equals_masked_sigmoid(x):
     assert bits(got) == bits(expected)
 
 
-# Scores 0 (of either sign), 0.5 and 1: ties at the
-# threshold of nearly every region.
+# Scores 0 (of either sign), 0.5 and 1: ties at the lowest
+# score taken into nearly every region.
 tied_sets = st.lists(
     st.tuples(st.sampled_from((0.0, -0.0, 0.5, 1.0)), st.integers(0, 1), st.sampled_from("ab")),
     min_size=1,
@@ -309,11 +309,11 @@ tied_sets = st.lists(
     st.one_of(labeled_sets(), tied_sets),
     st.sampled_from((1.0, 0.999, 0.95, 0.7, 0.5, 0.3, 0.05)),
 )
-# ties at the lowest score: the threshold comes from the last of them
+# ties at the lowest score, all of them taken
 @example(labeled_set([0.2, 0.5, 0.2, 0.9, 0.2], [1, 0, 0, 1, 1], "ababa"), 1.0)
 # a single record
 @example(labeled_set([0.4], [1], "b"), 1.0)
-# zeros of both signs tie; the sign of the one ranked last is kept
+# zeros of both signs tie
 @example(labeled_set([0.0, 0.3, -0.0], [0, 1, 1], "aab"), 1.0)
 @example(labeled_set([-0.0, 0.3, 0.0], [0, 1, 1], "aab"), 1.0)
 # the region ends inside a run of ties, of both signs of zero, or of one score
@@ -323,8 +323,7 @@ tied_sets = st.lists(
 @example(labeled_set([0.5] * 10, [0, 1] * 5, "ab" * 5), 0.7)
 def test_top_alpha_region_equals_sorting_path(s, alpha):
     got, expected = top_alpha_region(s, alpha), oracles.sorted_top_alpha_region(s, alpha)
-    assert (got.alpha, got.n_alpha) == (expected.alpha, expected.n_alpha)
-    assert bits(got.threshold) == bits(expected.threshold)
+    assert got.n_alpha == expected.n_alpha == len(got.member_indices)
     assert got.member_indices.dtype == expected.member_indices.dtype
     assert np.array_equal(got.member_indices, expected.member_indices)
 
@@ -410,7 +409,7 @@ def assert_region_metrics_equal_brute_force(s, region):
 def any_region(s, picks) -> TopAlphaRegion:
     """Region of the records whose pick is set, the picks cycled over ``s``."""
     members = np.flatnonzero(np.resize(np.array(picks, dtype=bool), len(s)))
-    return TopAlphaRegion(alpha=1.0, n_alpha=len(members), threshold=0.0, member_indices=members)
+    return TopAlphaRegion(members)
 
 
 @given(
@@ -440,9 +439,7 @@ def test_rank_metrics_equal_brute_force(s, alpha, picks, flipped):
     assert_region_metrics_equal_brute_force(s, region)
     # every record, in reverse order
     reverse = np.arange(len(s))[::-1]
-    assert_region_metrics_equal_brute_force(
-        s, TopAlphaRegion(alpha=1.0, n_alpha=len(s), threshold=0.0, member_indices=reverse)
-    )
+    assert_region_metrics_equal_brute_force(s, TopAlphaRegion(reverse))
 
     # one group's scores reversed, which reorders them and keeps their ties
     mapped = s.replace_group_scores(flipped, 1.0 - s.group_scores(flipped))

@@ -35,3 +35,8 @@ def test_dotted_names_resolve():
     assert {"fp.sweep", "fairpot.transport.fit_and_map"} <= names
     for name in sorted(names):
         assert resolve(name) is not None, name
+
+
+def test_every_exported_name_has_a_line():
+    listed = re.findall(r"^- `(\w+)`: ", README, re.M)
+    assert sorted(listed) == sorted(fairpot.__all__)

@@ -123,16 +123,16 @@ class TestScoreMap:
     def test_identity_pairs(self):
         xs = np.array([0.1, 0.5, 0.9])
         m = build_score_map(xs, xs)
-        assert np.array_equal(m.evaluate(xs), xs)
+        assert np.array_equal(apply_psi(m, xs), xs)
 
     def test_linear_interpolation(self):
         m = build_score_map([0.0, 1.0], [0.0, 0.5])
-        assert m.evaluate([0.5])[0] == 0.25
+        assert apply_psi(m, [0.5])[0] == 0.25
 
     def test_duplicate_originals_collapse_to_mean(self):
         m = build_score_map([0.7, 0.7], [0.6, 0.8])
         assert len(m) == 1
-        assert m.evaluate([0.7])[0] == pytest.approx(0.7)
+        assert apply_psi(m, [0.7])[0] == pytest.approx(0.7)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
