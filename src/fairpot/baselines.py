@@ -60,9 +60,8 @@ def fit_post_logit(
     )
     n_pos = {GROUP_A: len(a_pos), GROUP_B: len(b_pos)}
     n_neg = {GROUP_A: len(a_neg), GROUP_B: len(b_neg)}
-    best_scale = None
-    best_disparity = np.inf
-    for scale in sorted(grid):
+
+    def disparity(scale: float) -> float:
         candidate = PostLogitParams(scale=scale, offset=offset)
         new_pos = apply_post_logit(candidate, b_pos)
         new_neg = apply_post_logit(candidate, b_neg)
@@ -76,11 +75,10 @@ def fit_post_logit(
             (GROUP_A, GROUP_B): count_pairs_above(a_pos, new_neg),
             (GROUP_B, GROUP_A): count_pairs_above(new_pos, a_neg),
         }
-        disparity = PairCounts(above, n_pos, n_neg).xauc_disparity()
-        if disparity < best_disparity:
-            best_disparity = disparity
-            best_scale = scale
-    return PostLogitParams(scale=best_scale, offset=offset)
+        return PairCounts(above, n_pos, n_neg).xauc_disparity()
+
+    # min keeps the first of equal disparities: the smallest scale
+    return PostLogitParams(scale=min(sorted(grid), key=disparity), offset=offset)
 
 
 def _group_quantile_maps(train_scores: np.ndarray):

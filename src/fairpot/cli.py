@@ -138,9 +138,8 @@ def _replicate(config: ExperimentConfig, rep: int) -> list[tuple[float, float, f
     fits on its split and evaluates its test split, a 1 x L grid that
     ``transport.evaluate_grid`` walks in O(n) memory in the split's size."""
     try:
-        train, test = _synthetic_scored_split(
-            config, config.seed + rep if config.bootstrap_n > 0 else config.seed
-        )
+        # rep is 0 when there is no bootstrap
+        train, test = _synthetic_scored_split(config, config.seed + rep)
         mapped = _fit_and_map(config, train, test)
     except (ValueError, RuntimeError) as exc:
         return str(exc)
@@ -242,10 +241,7 @@ def cmd_sweep(args) -> int:
     for rep, outcome in enumerate(outcomes):
         if isinstance(outcome, str):
             print(f"replicate {rep}: {outcome}", file=sys.stderr)
-            rows.append(
-                SweepRow(config.method, 0.0, alpha_out, rep, float("nan"), float("nan"), False)
-            )
-            continue
+            outcome = [(0.0, float("nan"), float("nan"))]  # nan metrics mark it failed
         rows.extend(
             SweepRow(config.method, lam, alpha_out, rep, accuracy, disparity, False)
             for lam, accuracy, disparity in outcome
@@ -274,11 +270,10 @@ def cmd_sweep(args) -> int:
     print(f"wrote {summary_path}")
 
     if args.plot:
-        curve = sorted(means, key=lambda p: p.lam)
         svg_path = out_dir / f"{prefix}.svg"
         render_tradeoff_svg(
             svg_path,
-            series=[(config.method, [(p.disparity, p.accuracy) for p in curve])],
+            series=[(config.method, [(p.disparity, p.accuracy) for p in means])],
             frontier=[(p.disparity, p.accuracy) for p in frontier],
             title=f"{config.mode} trade-off",
         )

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import sigmoid
-from .metrics import GROUP_A, GROUP_B
+from .metrics import GROUPS
 
 STAGE_FEATURES = 0
 STAGE_COEFFS = 1
@@ -181,10 +181,9 @@ def generate_synthetic(cfg: SyntheticConfig) -> SyntheticCohort:
 
     blocks = []
     label_blocks = []
-    group_blocks = []
-    specs = ((GROUP_A, 0, n_a, cfg.mean_a, cfg.target_pos_rate_a),
-             (GROUP_B, 1, n_b, cfg.mean_b, cfg.target_pos_rate_b))
-    for group, sub, n_g, mean_g, rate_g in specs:
+    specs = ((0, n_a, cfg.mean_a, cfg.target_pos_rate_a),
+             (1, n_b, cfg.mean_b, cfg.target_pos_rate_b))
+    for sub, n_g, mean_g, rate_g in specs:
         if n_g == 0:
             continue
         x = mean_g + cfg.std * _standard_normal(
@@ -198,12 +197,11 @@ def generate_synthetic(cfg: SyntheticConfig) -> SyntheticCohort:
         labels = (u < prob).astype(np.int64)
         blocks.append(x)
         label_blocks.append(labels)
-        group_blocks.append(np.full(n_g, group, dtype="U1"))
 
     return SyntheticCohort(
         features=np.vstack(blocks),
         labels=np.concatenate(label_blocks),
-        groups=np.concatenate(group_blocks),
+        groups=np.repeat(GROUPS, [n_a, n_b]),
     )
 
 

@@ -384,7 +384,7 @@ def _read_score_rows(path: Path, fh) -> ScoreSet:
         labels.append(int(label_s))
         groups.append(group)
     return ScoreSet(
-        scores=np.array(scores, dtype=float),
+        scores=scores,
         labels=np.array(labels, dtype=np.int64),
         groups=np.array(groups, dtype="U1"),
     )

@@ -78,14 +78,16 @@ class ScoreSet:
     scores, 0/1 labels and ``GROUPS`` tags. A record is stored as 10 bytes:
     its float64 score and two bool masks, ``is_pos`` (label 1) and
     ``in_group_a`` (every other record is in group b). All three arrays are
-    read-only; a set of the same records with new scores shares the masks."""
+    read-only and the set's own: the constructor copies the scores it is
+    given and leaves the caller's array as it was. A set of the same records
+    with new scores shares the masks."""
 
     scores: np.ndarray
     is_pos: np.ndarray
     in_group_a: np.ndarray
 
     def __init__(self, scores, labels, groups) -> None:
-        scores = np.asarray(scores, dtype=float)
+        scores = np.array(scores, dtype=float)
         labels, groups = np.asarray(labels), np.asarray(groups)
         if not (scores.ndim == labels.ndim == groups.ndim == 1):
             raise ValueError("scores, labels and groups must be 1-dimensional")
@@ -172,9 +174,11 @@ class ScoreSet:
 
     def with_scores(self, scores: np.ndarray) -> "ScoreSet":
         """The same records holding ``scores``, one per record in record order.
-        The label and group masks are shared with this set, and so are its
-        cells once this set holds them; no set computes cells it never
-        reads."""
+        The new set keeps a float64 ``scores`` array it is given, not a copy,
+        and marks it read-only: a caller that writes to it afterwards must
+        pass a copy. The label and group masks are shared with this set, and
+        so are its cells once this set holds them; no set computes cells it
+        never reads."""
         scores = np.asarray(scores, dtype=float)
         if scores.shape != self.scores.shape:
             raise ValueError(f"expected {len(self)} scores, got {scores.shape}")
@@ -222,16 +226,17 @@ def require_both_groups(
 class TopAlphaRegion:
     """The records of a ScoreSet that ``pauc`` and ``pxauc`` read, as their
     positions in it; ``top_alpha_region`` gives the ceil(alpha * N)
-    highest-scoring ones. ``member_indices`` takes integers of any width, and
-    is kept read-only, in the ``_util.position_dtype`` of the smallest set it
-    can index, one record past its largest member: 4 bytes each below 2**31.
+    highest-scoring ones. ``member_indices`` takes integers of any width; the
+    region keeps a read-only copy of them, in the ``_util.position_dtype`` of
+    the smallest set it can index, one record past its largest member: 4
+    bytes each below 2**31. The caller's array is left as it was.
     """
 
     member_indices: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
         idx = _positions(self.member_indices)
-        idx = idx.astype(position_dtype(int(idx.max()) + 1 if idx.size else 0), copy=False)
+        idx = idx.astype(position_dtype(int(idx.max()) + 1 if idx.size else 0))
         idx.setflags(write=False)
         object.__setattr__(self, "member_indices", idx)
 

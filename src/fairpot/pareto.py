@@ -34,27 +34,14 @@ def pareto_frontier(points: list[TradeoffPoint]) -> list[TradeoffPoint]:
     """The non-dominated subset, sorted by ascending disparity.
 
     Coordinate-identical duplicates collapse to a single representative, the
-    one with the lowest lambda (then method tag, then replicate id). Runs in
-    O(n log n) via a sort-and-scan over disparity groups.
+    one with the lowest lambda (then method tag, then replicate id). One scan
+    in O(n log n): the points sorted by disparity, then descending accuracy,
+    then that key, each kept when its accuracy beats the last kept point's.
     """
-    if not points:
-        return []
-    best_at: dict[tuple[float, float], TradeoffPoint] = {}
-    for p in points:
-        key = (p.disparity, p.accuracy)
-        cur = best_at.get(key)
-        if cur is None or _dedup_key(p) < _dedup_key(cur):
-            best_at[key] = p
-    ordered = sorted(best_at.values(), key=lambda p: (p.disparity, -p.accuracy))
-
     frontier = []
     best_accuracy = -1.0
-    group_disparity = None
-    for p in ordered:
-        if p.disparity != group_disparity:
-            # first (highest-accuracy) point of a new disparity group
-            group_disparity = p.disparity
-            if p.accuracy > best_accuracy:
-                frontier.append(p)
-                best_accuracy = p.accuracy
+    for p in sorted(points, key=lambda p: (p.disparity, -p.accuracy, _dedup_key(p))):
+        if p.accuracy > best_accuracy:
+            frontier.append(p)
+            best_accuracy = p.accuracy
     return frontier

@@ -158,11 +158,14 @@ def fit_and_map(
     takes lambda as its outer loop, as a sweep with more lambdas than
     replicates does, works in O(n) memory whatever the number of lambdas.
     Its check needs both groups among a replicate's drawn records; a region
-    without the moving group is scored as it is.
+    without the moving group is scored as it is. An empty ``lambdas`` is a
+    ValueError, as it is in ``io.ExperimentConfig``.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     lambdas = tuple(float(l) for l in lambdas)
+    if not lambdas:
+        raise ValueError("lambdas must be non-empty")
     for lam in lambdas:
         if not 0.0 <= lam <= 1.0:
             raise ValueError(f"lambda values must lie in [0, 1], got {lam}")
@@ -217,54 +220,50 @@ def evaluate_grid(
     message of the error that failed it: replicate r evaluates the records
     of ``test`` at ``draw(r)`` (None: all), once its draw and region pass
     ``mapped.check``, on each set of ``mapped``, which holds ``test``'s
-    records with new scores. Only the shorter axis of this R x L grid is
-    held, so working memory is O(n) per item of it: a mapped set's 8 bytes
-    per record, or a replicate's ``metrics.region_cells``, one position per
-    record of its region in the dtype of its draw (4 bytes for a file
-    sweep's draw; see ``_util.position_dtype``)."""
-    check = mapped.check
+    records with new scores. A replicate whose draw, region or check fails
+    gets its message once, and no set is evaluated for it; a ValueError
+    while the sets are built or evaluated fails every replicate with its
+    message. Only the shorter axis of this R x L grid is held, so working
+    memory is O(n) per item of it: a mapped set's 8 bytes per record, or a
+    replicate's ``metrics.region_cells``, one position per record of its
+    region in the dtype of its draw (4 bytes for a file sweep's draw; see
+    ``_util.position_dtype``)."""
 
     def drawn_cells(rep: int) -> dict | str:
         try:
             drawn = draw(rep)
             region = metrics.select_region(test, mode, alpha, drawn)
-            if check is not None:
-                check(drawn, region)
+            if mapped.check is not None:
+                mapped.check(drawn, region)
             return metrics.region_cells(test, region)
         except (ValueError, RuntimeError) as exc:
             return str(exc)
 
-    outcomes: list = [[] for _ in range(n_reps)]
-
-    def evaluate(rep: int, cells, lam: float, mapped_set: ScoreSet) -> None:
+    def points(cells: dict | str, sets) -> list | str:
+        """A replicate's message, or its points on each ``(lam, set)``."""
         if isinstance(cells, str):
-            outcomes[rep] = cells
-        else:
-            point = metrics.evaluate_cells(cells, mapped_set.scores, mode)
-            outcomes[rep].append((lam, *point))
+            return cells
+        return [(lam, *metrics.evaluate_cells(cells, s.scores, mode)) for lam, s in sets]
 
     # With more lambdas than replicates, every replicate is drawn, checked
     # and has its cells taken once, and those are kept while each mapped set
     # is built, evaluated by every replicate and dropped. Otherwise the
     # mapped sets are kept and each replicate is drawn, evaluated on all of
-    # them and dropped. An error building a mapped set fails every replicate.
+    # them and dropped.
     try:
         if len(mapped) > n_reps:
             replicates = [drawn_cells(rep) for rep in range(n_reps)]
+            outcomes = [points(cells, ()) for cells in replicates]
             for lam, mapped_set in mapped:
-                for rep, cells in enumerate(replicates):
-                    evaluate(rep, cells, lam, mapped_set)
+                for outcome, cells in zip(outcomes, replicates):
+                    if not isinstance(outcome, str):
+                        outcome.extend(points(cells, [(lam, mapped_set)]))
                 del mapped_set  # before the next set is built
-        else:
-            mapped = list(mapped)
-            for rep in range(n_reps):
-                cells = drawn_cells(rep)
-                for lam, mapped_set in mapped:
-                    evaluate(rep, cells, lam, mapped_set)
-                del cells  # before the next replicate is drawn
+            return outcomes
+        sets = list(mapped)
+        return [points(drawn_cells(rep), sets) for rep in range(n_reps)]
     except ValueError as exc:
         return [str(exc)] * n_reps
-    return outcomes
 
 
 def sweep(

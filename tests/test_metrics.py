@@ -104,6 +104,18 @@ class TestScoreSet:
         assert s.with_scores(np.array([0.1, 0.2, 0.3, 0.4])).cells[1, GROUP_A].tolist() == [2]
         assert not any(idx.flags.writeable for idx in s.cells.values())
 
+    def test_callers_arrays_stay_writable(self):
+        # the set copies the scores it is given; its own array is read-only
+        x = np.array([0.1, 0.5])
+        s = ScoreSet(x, [0, 1], ["a", "b"])
+        x[0] = 0.2
+        assert s.scores.tolist() == [0.1, 0.5] and not s.scores.flags.writeable
+
+    def test_with_scores_keeps_the_array_it_is_given(self):
+        s = make_set([0.2, 0.9], [1, 0], ["a", "b"])
+        y = np.array([0.3, 0.4])
+        assert s.with_scores(y).scores is y and not y.flags.writeable
+
     def test_subset_rejects_2d_indices(self):
         s = make_set([0.2, 0.9, 0.5], [1, 0, 1], ["a", "b", "a"])
         with pytest.raises(ValueError):
@@ -281,6 +293,12 @@ class TestTopAlphaRegion:
         assert r.member_indices.tolist() == [1, 2] and r.member_indices.dtype == np.int32
         assert r.n_alpha == 2
         assert TopAlphaRegion([]).n_alpha == 0
+
+    def test_callers_members_stay_writable(self):
+        m = np.array([1, 2], dtype=np.int32)
+        r = TopAlphaRegion(m)
+        m[0] = 0
+        assert r.member_indices.tolist() == [1, 2] and not r.member_indices.flags.writeable
 
 
 class TestPauc:

@@ -260,6 +260,14 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep(train, test, [0.0, 1.2])
 
+    def test_empty_lambdas_rejected(self):
+        # as ExperimentConfig rejects them, and before the test set's groups
+        # are checked
+        train, test = random_split_sets(911)
+        only_a = test.subset(np.flatnonzero(test.group_mask("a")))
+        with pytest.raises(ValueError, match="^lambdas must be non-empty$"):
+            sweep(train, only_a, [])
+
     def test_bad_mode_rejected(self):
         train, test = random_split_sets(909)
         with pytest.raises(ValueError):

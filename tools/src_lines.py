@@ -4,7 +4,9 @@ A code line is a non-blank line of ``src/fairpot/*.py`` that is neither a
 comment nor part of a docstring (the string that opens a module, class or
 function body). A line of a multi-line string that is not a docstring counts.
 
-    python3 tools/src_lines.py          # prints the count
+    python3 tools/src_lines.py    # each module's count, then the total
+
+The total is the last line.
 """
 
 from __future__ import annotations
@@ -45,7 +47,12 @@ def code_lines(source: str) -> int:
 
 
 def main() -> int:
-    print(sum(code_lines(path.read_text()) for path in sorted(SRC.glob("*.py"))))
+    total = 0
+    for path in sorted(SRC.glob("*.py")):
+        count = code_lines(path.read_text())
+        print(f"{count:5d}  {path.name}")
+        total += count
+    print(total)
     return 0
 
 
