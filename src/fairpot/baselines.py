@@ -52,8 +52,7 @@ def fit_post_logit(
     grid = tuple(float(g) for g in grid)
     if not grid:
         raise ValueError("post-logit scale grid is empty")
-    if not np.any(train.group_mask(GROUP_A)) or not np.any(train.group_mask(GROUP_B)):
-        raise ValueError("post-logit fitting needs both groups in the training set")
+    require_both_groups(train, "train")
     a_pos, a_neg, b_pos, b_neg = (
         np.sort(train.scores[train.cells[label, group]])
         for label, group in ((1, GROUP_A), (0, GROUP_A), (1, GROUP_B), (0, GROUP_B))

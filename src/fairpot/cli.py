@@ -273,9 +273,10 @@ def cmd_sweep(args) -> int:
         svg_path = out_dir / f"{prefix}.svg"
         render_tradeoff_svg(
             svg_path,
-            series=[(config.method, [(p.disparity, p.accuracy) for p in means])],
-            frontier=[(p.disparity, p.accuracy) for p in frontier],
-            title=f"{config.mode} trade-off",
+            config.method,
+            [(p.disparity, p.accuracy) for p in means],
+            [(p.disparity, p.accuracy) for p in frontier],
+            f"{config.mode} trade-off",
         )
         print(f"wrote {svg_path}")
     return 0
@@ -344,12 +345,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ScoreFileError, ValueError) as exc:
+    except (ValueError, RuntimeError, OSError) as exc:  # ConfigError and ScoreFileError too
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (RuntimeError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, ValueError) else 1
 
 
 if __name__ == "__main__":

@@ -49,12 +49,14 @@ def _fmt(x: float) -> str:
 def open_atomic(path, mode: str = "w"):
     """Open a temporary file beside ``path`` for writing and move it over
     ``path`` only when the block completes, so readers see the old file or
-    the whole new one. On an exception the temporary file is removed; an
-    ``OSError`` is raised again as ``cannot write <path>: <reason>``."""
+    the whole new one. A text file is UTF-8. On an exception the temporary
+    file is removed; an ``OSError`` is raised again as ``cannot write
+    <path>: <reason>``."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    text = {} if "b" in mode else {"encoding": "utf-8", "newline": ""}
     try:
-        with tmp.open(mode, newline=None if "b" in mode else "") as fh:
+        with tmp.open(mode, **text) as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException as exc:
@@ -100,9 +102,11 @@ _NL, _CR, _COMMA, _DOT, _ZERO, _ONE, _A, _B = b"\n\r,.01ab"  # byte values
 # whole lines at a time, so a parse's temporaries are a few block-sized
 # arrays whatever the size of the file.
 _BLOCK_BYTES = 1 << 18
-# Bytes of the file kept before each block of lines: the fields' last 8 or
-# 16 bytes are read as words, which may start before the block's first row.
+# Line feeds put before each block of lines: the fields' last 8 or 16 bytes
+# are read as words, which may start before the block's first row. Every such
+# read masks the bytes outside its field, so what the pad holds never matters.
 _LOOKBACK = 16
+_PAD = b"\n" * _LOOKBACK
 # Ids of at most this many bytes are checked for duplicates as sorted integers.
 _ID_KEY_BYTES = 8
 # Masks of the last w bytes of a big-endian word, and of the last w bytes of a
@@ -144,7 +148,7 @@ def _parse_plain_score_file(fh) -> ScoreSet | None:
     short_keys = np.empty(n, dtype=np.uint64)
     long_ids = {}  # by width
     at = n_short = 0
-    for block in _line_blocks(fh, header):
+    for block in _line_blocks(fh):
         rows = _parse_rows(block)
         if rows is None or at + len(rows[0]) > n:
             return None  # not plain, or the file grew since it was counted
@@ -169,29 +173,26 @@ def _count_rows(fh) -> int:
     whether or not it ends with a line feed."""
     rows, last = 0, b"\n"
     while chunk := fh.read(_BLOCK_BYTES):
-        rows += np.count_nonzero(np.frombuffer(chunk, dtype=np.uint8) == _NL)
+        rows += chunk.count(b"\n")
         last = chunk[-1:]
     return rows + (last != b"\n")
 
 
-def _line_blocks(fh, before: bytes):
+def _line_blocks(fh):
     """Each block of whole lines left in ``fh`` (the file's last line may
-    have no line end) behind the ``_LOOKBACK`` bytes of the file before it,
-    which end with a line feed; ``before`` ends with those bytes before the
-    first block. Stops early at a line longer than ``csv.field_size_limit()``,
-    which no plain file holds."""
-    tail, rest = before[-_LOOKBACK:], b""
+    have no line end), behind ``_PAD``. Stops early at a line longer than
+    ``csv.field_size_limit()``, which no plain file holds."""
+    rest = b""
     while chunk := fh.read(_BLOCK_BYTES):
         rest += chunk
         cut = rest.rfind(b"\n") + 1
         if cut:
-            block = tail + rest[:cut]
-            tail, rest = block[-_LOOKBACK:], rest[cut:]
-            yield block
+            yield _PAD + rest[:cut]
+            rest = rest[cut:]
         elif len(rest) > csv.field_size_limit() + 1:  # + 1 for a CR
             return
     if rest:
-        yield tail + rest
+        yield _PAD + rest
 
 
 def _parse_rows(data: bytes):
@@ -205,10 +206,10 @@ def _parse_rows(data: bytes):
     # have no line end. A CR elsewhere ends a csv row too: the row reader
     # takes that file.
     mask = arr == _NL  # reused below for the commas
-    mask[: _LOOKBACK - 1] = False  # keep the LF that ends the line before
+    mask[: _LOOKBACK - 1] = False  # keep the pad's last LF, before the first row
     newlines = np.flatnonzero(mask)
     line_ends = newlines[1:]
-    n_cr = np.count_nonzero(arr[_LOOKBACK:] == _CR)
+    n_cr = data.count(b"\r")
     if n_cr:
         crlf = arr[line_ends - 1] == _CR
         if n_cr != np.count_nonzero(crlf):
@@ -221,9 +222,8 @@ def _parse_rows(data: bytes):
     if (ends - before).max() - 1 > csv.field_size_limit():
         return None
     # A row's last four bytes are a comma, its label, a comma and its group.
-    # With those commas and the ones before the block cleared, the one comma
-    # left in each row, after the LF before it and before its label comma,
-    # ends its id.
+    # With those commas cleared, the one comma left in each row, after the LF
+    # before it and before its label comma, ends its id.
     label_comma = ends - 4
     del line_ends, ends
     comma, label, comma2, group = (arr[k:][label_comma] for k in range(4))
@@ -233,8 +233,7 @@ def _parse_rows(data: bytes):
         and np.all((group == _A) | (group == _B))
     ):
         return None
-    np.equal(arr, _COMMA, out=mask)
-    mask[:_LOOKBACK] = False
+    np.equal(arr, _COMMA, out=mask)  # the pad holds none
     mask[label_comma] = False
     mask[2:][label_comma] = False  # the group comma, two bytes on
     id_end = np.flatnonzero(mask)
@@ -339,23 +338,30 @@ def _eight_digits(words: np.ndarray, n: np.ndarray):
 
 def _csv_rows(path: Path, fh, header: list[str]):
     """``(line number, fields)`` of each non-blank row after its header of
-    the csv file at ``path``, open for binary reading as ``fh``, which is
-    read from its start and closed once the rows are read or abandoned;
-    raises ``ScoreFileError`` for a header other than ``header`` and for a
-    row with another number of fields."""
+    the UTF-8 csv file at ``path``, open for binary reading as ``fh``, which
+    is read from its start and closed once the rows are read or abandoned;
+    raises ``ScoreFileError`` for a header other than ``header``, a row with
+    another number of fields, a row ``csv`` cannot read (such as a field
+    longer than ``csv.field_size_limit()``), and bytes that are not UTF-8.
+    Text is decoded a chunk at a time, so that error names no line."""
     fh.seek(0)
-    with TextIOWrapper(fh, newline="") as text:
+    with TextIOWrapper(fh, encoding="utf-8", newline="") as text:
         reader = csv.reader(text)
-        if next(reader, None) != header:
-            raise ScoreFileError(f"{path}:1: expected header {','.join(header)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ScoreFileError(
-                    f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
-                )
-            yield lineno, row
+        try:
+            if next(reader, None) != header:
+                raise ScoreFileError(f"{path}:1: expected header {','.join(header)}")
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise ScoreFileError(
+                        f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
+                    )
+                yield lineno, row
+        except csv.Error as exc:
+            raise ScoreFileError(f"{path}:{reader.line_num}: {exc}") from None
+        except UnicodeDecodeError:
+            raise ScoreFileError(f"{path}: not UTF-8 text") from None
 
 
 def _read_score_rows(path: Path, fh) -> ScoreSet:
@@ -559,10 +565,13 @@ _CONFIG_TYPES = {
 
 
 def read_config(path) -> ExperimentConfig:
-    """Parse a flat JSON config; unknown keys and type mismatches are errors."""
+    """Parse a flat JSON config in UTF-8; unknown keys and type mismatches
+    are errors."""
     path = Path(path)
     try:
-        raw = json.loads(path.read_text())
+        raw = json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError:
+        raise ConfigError(f"{path}: not UTF-8 text") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(raw, dict):

@@ -124,8 +124,8 @@ class ScoreSet:
     def cells(self) -> dict[tuple[int, str], np.ndarray]:
         """Positions of the records of each (label, group) cell, in record
         order, 4 bytes each below 2**31 records (``_util.position_dtype``).
-        Read-only, since sets that hold the same records' labels and groups
-        share them."""
+        Read-only, since ``region_cells`` hands them out, not a copy, for a
+        region of every record."""
         masks = _cell_masks(self.is_pos, self.in_group_a)
         dtype = position_dtype(len(self))
         return {
@@ -152,8 +152,8 @@ class ScoreSet:
     def _derived(cls, scores, is_pos, in_group_a, **cached) -> "ScoreSet":
         """Set over already-validated records, such as records taken from
         another set: the checks of ``__init__`` are not rerun. The arrays are
-        made read-only; ``cached`` presets cached properties (``cells``,
-        ``pair_counts``) that must hold for these records."""
+        made read-only; ``cached`` presets cached properties, such as
+        ``pair_counts``, that must hold for these records."""
         out = object.__new__(cls)
         for name, arr in (("scores", scores), ("is_pos", is_pos), ("in_group_a", in_group_a)):
             object.__setattr__(out, name, _read_only(arr))
@@ -176,15 +176,13 @@ class ScoreSet:
         """The same records holding ``scores``, one per record in record order.
         The new set keeps a float64 ``scores`` array it is given, not a copy,
         and marks it read-only: a caller that writes to it afterwards must
-        pass a copy. The label and group masks are shared with this set, and
-        so are its cells once this set holds them; no set computes cells it
-        never reads."""
+        pass a copy. The label and group masks are shared with this set; the
+        new set's cells are computed if it is ever asked for them."""
         scores = np.asarray(scores, dtype=float)
         if scores.shape != self.scores.shape:
             raise ValueError(f"expected {len(self)} scores, got {scores.shape}")
         _check_scores(scores)
-        cached = {"cells": self.cells} if "cells" in self.__dict__ else {}
-        return ScoreSet._derived(scores, self.is_pos, self.in_group_a, **cached)
+        return ScoreSet._derived(scores, self.is_pos, self.in_group_a)
 
     def replace_group_scores(self, group: str, new_scores: np.ndarray) -> "ScoreSet":
         """The same records, as ``with_scores`` gives them, with one group's
@@ -281,12 +279,13 @@ class PairCounts:
             n_neg={g: len(ranked[0, g]) for g in GROUPS},
         )
 
-    def auc(self, if_no_pos: float = 0.0, if_no_neg: float = 0.0) -> float:
-        """Share of all (positive, negative) pairs ranked correctly; the given
-        value when a class is empty, the positives checked first."""
+    def auc(self, if_no_neg: float = 0.0) -> float:
+        """Share of all (positive, negative) pairs ranked correctly: 0.0
+        without positives, checked first, and ``if_no_neg`` without
+        negatives."""
         n_pos, n_neg = sum(self.n_pos.values()), sum(self.n_neg.values())
         if n_pos == 0:
-            return if_no_pos
+            return 0.0
         if n_neg == 0:
             return if_no_neg
         return sum(self.above.values()) / (n_pos * n_neg)
@@ -352,7 +351,7 @@ def pauc(s: ScoreSet, region: TopAlphaRegion) -> float:
     (failed separation, checked first), no negatives gives 1.0 (perfect
     separation).
     """
-    return _region_counts(s, region).auc(if_no_pos=0.0, if_no_neg=1.0)
+    return _region_counts(s, region).auc(if_no_neg=1.0)
 
 
 def pxauc(s: ScoreSet, region: TopAlphaRegion, from_group: str, to_group: str) -> float:

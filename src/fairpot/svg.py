@@ -7,7 +7,7 @@ from .io import open_atomic
 WIDTH, HEIGHT = 640, 480
 MARGIN_LEFT, MARGIN_RIGHT = 70, 20
 MARGIN_TOP, MARGIN_BOTTOM = 40, 55
-PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b")
+COLOR = "#1f77b4"
 
 
 def _fmt(x: float) -> str:
@@ -29,17 +29,18 @@ def _ticks(lo: float, hi: float, n: int = 5):
 
 def render_tradeoff_svg(
     path,
-    series: list[tuple[str, list[tuple[float, float]]]],
-    frontier: list[tuple[float, float]] | None = None,
-    title: str = "",
+    name: str,
+    points: list[tuple[float, float]],
+    frontier: list[tuple[float, float]],
+    title: str,
 ) -> None:
-    """Write a fixed-size chart of (disparity, accuracy) points: one
-    polyline with dot markers per series, frontier points highlighted with
-    open rings."""
+    """Write a fixed-size chart of one method's (disparity, accuracy) points,
+    titled ``title``: one polyline with dot markers, labelled ``name`` in the
+    legend, and the ``frontier`` points highlighted with open rings."""
     # imported here, so only a process that draws a chart loads the XML package
     import xml.etree.ElementTree as ET
 
-    all_pts = [p for _, pts in series for p in pts] + list(frontier or [])
+    all_pts = points + frontier
     if not all_pts:
         raise ValueError("nothing to plot")
     x_lo, x_hi = _bounds([p[0] for p in all_pts])
@@ -59,12 +60,11 @@ def render_tradeoff_svg(
         viewBox=f"0 0 {WIDTH} {HEIGHT}",
     )
     ET.SubElement(root, "rect", x="0", y="0", width=str(WIDTH), height=str(HEIGHT), fill="white")
-    if title:
-        t = ET.SubElement(
-            root, "text", x=str(WIDTH // 2), y="24",
-            fill="black", style="font:bold 15px sans-serif", attrib={"text-anchor": "middle"},
-        )
-        t.text = title
+    t = ET.SubElement(
+        root, "text", x=str(WIDTH // 2), y="24",
+        fill="black", style="font:bold 15px sans-serif", attrib={"text-anchor": "middle"},
+    )
+    t.text = title
 
     axes = ET.SubElement(root, "g", stroke="black", attrib={"stroke-width": "1"})
     x0, y0 = sx(x_lo), sy(y_lo)
@@ -96,25 +96,21 @@ def render_tradeoff_svg(
     )
     yl.text = "accuracy"
 
-    for k, (name, pts) in enumerate(series):
-        color = PALETTE[k % len(PALETTE)]
-        group = ET.SubElement(root, "g", fill=color, stroke=color)
-        if len(pts) > 1:
-            d = "M" + "L".join(f"{_fmt(sx(x))} {_fmt(sy(y))}" for x, y in pts)
-            ET.SubElement(group, "path", d=d, fill="none", attrib={"stroke-width": "1.5"})
-        for x, y in pts:
-            ET.SubElement(group, "circle", cx=_fmt(sx(x)), cy=_fmt(sy(y)), r="3")
-        legend_y = MARGIN_TOP + 16 * k
-        ET.SubElement(group, "circle", cx=str(WIDTH - 150), cy=str(legend_y), r="4")
-        txt = ET.SubElement(
-            labels, "text", x=str(WIDTH - 140), y=str(legend_y + 4), style="font:12px sans-serif"
-        )
-        txt.text = name
+    group = ET.SubElement(root, "g", fill=COLOR, stroke=COLOR)
+    if len(points) > 1:
+        d = "M" + "L".join(f"{_fmt(sx(x))} {_fmt(sy(y))}" for x, y in points)
+        ET.SubElement(group, "path", d=d, fill="none", attrib={"stroke-width": "1.5"})
+    for x, y in points:
+        ET.SubElement(group, "circle", cx=_fmt(sx(x)), cy=_fmt(sy(y)), r="3")
+    ET.SubElement(group, "circle", cx=str(WIDTH - 150), cy=str(MARGIN_TOP), r="4")
+    txt = ET.SubElement(
+        labels, "text", x=str(WIDTH - 140), y=str(MARGIN_TOP + 4), style="font:12px sans-serif"
+    )
+    txt.text = name
 
-    if frontier:
-        ring = ET.SubElement(root, "g", fill="none", stroke="black", attrib={"stroke-width": "1.5"})
-        for x, y in frontier:
-            ET.SubElement(ring, "circle", cx=_fmt(sx(x)), cy=_fmt(sy(y)), r="6")
+    ring = ET.SubElement(root, "g", fill="none", stroke="black", attrib={"stroke-width": "1.5"})
+    for x, y in frontier:
+        ET.SubElement(ring, "circle", cx=_fmt(sx(x)), cy=_fmt(sy(y)), r="6")
 
     with open_atomic(path, "wb") as fh:
         fh.write(ET.tostring(root))

@@ -170,13 +170,11 @@ def fit_and_map(
         if not 0.0 <= lam <= 1.0:
             raise ValueError(f"lambda values must lie in [0, 1], got {lam}")
     moving, reference = _moving_reference(direction)
-    require_both_groups(train, "train")
     train = metrics.region_set(train, mode, alpha)
+    require_both_groups(train, "train")
     mov_train = train.group_scores(moving)
     mov_train.sort(kind="stable")
     ref_train = train.group_scores(reference)
-    if len(mov_train) == 0 or len(ref_train) == 0:
-        raise ValueError("top region of the training set is missing a group")
 
     # Everything but the top-k slice is lambda-independent, and all of it
     # reads one stable sort of the moving cloud: the plan is fitted on it, so

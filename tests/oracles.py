@@ -210,8 +210,9 @@ def loop_fit_post_logit(
     grid = tuple(float(g) for g in grid)
     if not grid:
         raise ValueError("post-logit scale grid is empty")
-    if not np.any(train.group_mask(GROUP_A)) or not np.any(train.group_mask(GROUP_B)):
-        raise ValueError("post-logit fitting needs both groups in the training set")
+    for group in (GROUP_A, GROUP_B):
+        if not np.any(train.group_mask(group)):
+            raise ValueError(f"train set contains no group {group!r} records")
     scores_b = train.group_scores(GROUP_B)
     best_scale = None
     best_disparity = np.inf
@@ -292,33 +293,44 @@ def loop_read_score_file(path) -> ScoreSet:
     labels: list[int] = []
     groups: list[str] = []
     seen_ids: set[str] = set()
-    with path.open("r", newline="") as fh:
+    with path.open("r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != SCORE_HEADER:
-            raise ScoreFileError(f"{path}:1: expected header {','.join(SCORE_HEADER)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise ScoreFileError(f"{path}:{lineno}: expected 4 fields, got {len(row)}")
-            rid, score_s, label_s, group = row
-            if rid in seen_ids:
-                raise ScoreFileError(f"{path}:{lineno}: duplicate id {rid!r}")
-            seen_ids.add(rid)
-            try:
-                score = float(score_s)
-            except ValueError:
-                raise ScoreFileError(f"{path}:{lineno}: unparseable score {score_s!r}") from None
-            if not math.isfinite(score) or not 0.0 <= score <= 1.0:
-                raise ScoreFileError(f"{path}:{lineno}: score {score_s} outside [0, 1]")
-            if label_s not in ("0", "1"):
-                raise ScoreFileError(f"{path}:{lineno}: label must be 0 or 1, got {label_s!r}")
-            if group not in GROUPS:
-                raise ScoreFileError(f"{path}:{lineno}: group must be one of {GROUPS}, got {group!r}")
-            scores.append(score)
-            labels.append(int(label_s))
-            groups.append(group)
+        try:
+            header = next(reader, None)
+            if header != SCORE_HEADER:
+                raise ScoreFileError(f"{path}:1: expected header {','.join(SCORE_HEADER)}")
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != 4:
+                    raise ScoreFileError(f"{path}:{lineno}: expected 4 fields, got {len(row)}")
+                rid, score_s, label_s, group = row
+                if rid in seen_ids:
+                    raise ScoreFileError(f"{path}:{lineno}: duplicate id {rid!r}")
+                seen_ids.add(rid)
+                try:
+                    score = float(score_s)
+                except ValueError:
+                    raise ScoreFileError(
+                        f"{path}:{lineno}: unparseable score {score_s!r}"
+                    ) from None
+                if not math.isfinite(score) or not 0.0 <= score <= 1.0:
+                    raise ScoreFileError(f"{path}:{lineno}: score {score_s} outside [0, 1]")
+                if label_s not in ("0", "1"):
+                    raise ScoreFileError(
+                        f"{path}:{lineno}: label must be 0 or 1, got {label_s!r}"
+                    )
+                if group not in GROUPS:
+                    raise ScoreFileError(
+                        f"{path}:{lineno}: group must be one of {GROUPS}, got {group!r}"
+                    )
+                scores.append(score)
+                labels.append(int(label_s))
+                groups.append(group)
+        except csv.Error as exc:  # such as a field over csv.field_size_limit()
+            raise ScoreFileError(f"{path}:{reader.line_num}: {exc}") from None
+        except UnicodeDecodeError:
+            raise ScoreFileError(f"{path}: not UTF-8 text") from None
     return ScoreSet(
         scores=np.array(scores, dtype=float),
         labels=np.array(labels, dtype=np.int64),

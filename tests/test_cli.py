@@ -16,6 +16,7 @@ import fairpot
 from fairpot import baselines, cli, datagen, metrics, transport
 from fairpot.cli import main
 from fairpot.io import (
+    SWEEP_HEADER,
     ExperimentConfig,
     read_score_file,
     read_sweep_results,
@@ -336,16 +337,10 @@ class TestBaselineFits:
         # with two or more CPUs, every synthetic replicate runs in a worker
         assert [pid != os.getpid() for pid, _, _ in calls] == [SYNTHETIC_REPLICATES_POOLED] * 3
 
-    @pytest.mark.parametrize(
-        "method, message",
-        [
-            ("post-logit", "post-logit fitting needs both groups in the training set"),
-            ("wasserstein", "train set contains no group 'b' records"),
-            ("fairpot", "top region of the training set is missing a group"),
-        ],
-    )
-    def test_file_mode_fit_failure_fails_every_replicate(self, tmp_path, capsys, method, message):
-        # group b scores all sit below group a's, so the train top region has no b
+    @pytest.mark.parametrize("method", ["post-logit", "wasserstein", "fairpot"])
+    def test_file_mode_fit_failure_fails_every_replicate(self, tmp_path, capsys, method):
+        # group b scores all sit below group a's, so the train top region has
+        # no b, which every method reports in the same words
         rng = np.random.default_rng(3)
         train = oracles.random_score_set(rng, 60)
         train = ScoreSet(
@@ -365,7 +360,7 @@ class TestBaselineFits:
         assert run("sweep", "--config", cfg, "--method", method, "--mode", "partial",
                    "--alpha", "0.3") == 1
         assert capsys.readouterr().err.splitlines() == [
-            f"replicate {rep}: {message}" for rep in range(3)
+            f"replicate {rep}: train set contains no group 'b' records" for rep in range(3)
         ] + ["error: all replicates failed"]
         assert not list(tmp_path.glob("sweep_*"))
 
@@ -574,8 +569,7 @@ class TestReplicateGroupFailures:
         code, err, digest = sweep_outcome(capsys, tmp_path / "out", cfg, "fairpot", "partial")
         assert code == 1
         assert err == [
-            f"replicate {rep}: top region of the training set is missing a group"
-            for rep in range(12)
+            f"replicate {rep}: train set contains no group 'b' records" for rep in range(12)
         ] + ["error: all replicates failed"]
         assert digest is None
 
@@ -793,6 +787,57 @@ class TestExitCodes:
         rows = read_sweep_results(tmp_path / f"sweep_{method}_global_results.csv")
         assert len(rows) == 2 and not any(r.failed for r in rows)
 
+    def test_score_field_over_the_csv_limit_rejected(self, tmp_path, capsys):
+        # such a line sends the file to the row reader, which names the line
+        paths = write_golden_inputs(tmp_path)
+        with paths["test"].open("a") as fh:
+            fh.write(f"{'r' * 200_000},0.5,1,a\n")
+        cfg = write_config(
+            tmp_path,
+            output_dir=str(tmp_path / "out"),
+            bootstrap_n=2,
+            train_path=str(paths["train"]),
+            test_path=str(paths["test"]),
+        )
+        assert run("sweep", "--config", cfg) == 2
+        limit = csv.field_size_limit()
+        assert capsys.readouterr().err == (
+            f"error: {paths['test']}:162: field larger than field limit ({limit})\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    def test_results_field_over_the_csv_limit_rejected(self, tmp_path, capsys):
+        path, out = tmp_path / "results.csv", tmp_path / "frontier.csv"
+        path.write_text(f"{','.join(SWEEP_HEADER)}\n{'m' * 200_000},0,1,0,0.5,0.5,true\n")
+        assert run("pareto", str(path), "--output", str(out)) == 2
+        limit = csv.field_size_limit()
+        assert capsys.readouterr().err == (
+            f"error: {path}:2: field larger than field limit ({limit})\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("file", ["train", "test", "config", "results"])
+    def test_bytes_that_are_not_utf8_rejected(self, tmp_path, capsys, file):
+        # the error names the file, not a line: text is decoded in chunks
+        paths = write_golden_inputs(tmp_path)
+        paths["config"] = Path(write_config(
+            tmp_path,
+            output_dir=str(tmp_path / "out"),
+            bootstrap_n=2,
+            train_path=str(paths["train"]),
+            test_path=str(paths["test"]),
+        ))
+        paths["results"] = tmp_path / "results.csv"
+        paths["results"].write_text(f"{','.join(SWEEP_HEADER)}\nm,0,1,0,0.5,0.5,true\n")
+        paths[file].write_bytes(paths[file].read_bytes() + b"\xff\n")
+        if file == "results":
+            code = run("pareto", str(paths[file]), "--output", str(tmp_path / "out.csv"))
+        else:
+            code = run("sweep", "--config", str(paths["config"]))
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {paths[file]}: not UTF-8 text\n"
+        assert not (tmp_path / "out").exists() and not (tmp_path / "out.csv").exists()
+
     def test_bad_subcommand(self):
         with pytest.raises(SystemExit) as exc:
             run("explode")
@@ -862,6 +907,34 @@ def run_golden_sweeps(tmp_path) -> dict[str, bytes]:
             produced = out_dir / f"sweep_{method}_{mode}_{kind}.csv"
             out[f"{direction}_{produced.name}"] = produced.read_bytes()
     return out
+
+
+# sha256 of each baseline's global --plot chart on the golden inputs: a
+# chart of one point, which is its own frontier.
+ONE_POINT_CHART_DIGESTS = {
+    "post-logit": "46756abd2aaaa4a85519267f7c6a60e38c209bfd838a2e56bbf4a92bf95422c2",
+    "unadjusted": "730efefbecaf6d8e4b281e42098af9640e17729909761e691c1a718208e28013",
+    "wasserstein": "ddb4881be6d1d1475f12ac85255db53cc58c12c8ef17f70db37b5b5209e1afab",
+}
+
+
+@pytest.mark.parametrize("method", sorted(ONE_POINT_CHART_DIGESTS))
+def test_one_point_chart_bytes(tmp_path, method):
+    paths = write_golden_inputs(tmp_path)
+    cfg = write_config(
+        tmp_path,
+        output_dir=str(tmp_path / "out"),
+        seed=3,
+        bootstrap_n=5,
+        alpha=0.3,
+        lambdas=[0.0, 0.5, 1.0],
+        train_path=str(paths["train"]),
+        test_path=str(paths["test"]),
+    )
+    assert run("sweep", "--config", cfg, "--method", method, "--plot") == 0
+    chart = (tmp_path / "out" / f"sweep_{method}_global.svg").read_bytes()
+    assert chart.count(b'r="3"') == 1 and chart.count(b'r="6"') == 1
+    assert hashlib.sha256(chart).hexdigest() == ONE_POINT_CHART_DIGESTS[method]
 
 
 @pytest.fixture(scope="module")
@@ -1118,7 +1191,7 @@ def test_synthetic_sweep_bytes_do_not_depend_on_the_cpus(tmp_path, alpha):
     assert stderr["all_cpus"] == stderr["one_cpu"]
     if alpha == 0.002:
         assert stderr["one_cpu"] == [
-            f"replicate {rep}: top region of the training set is missing a group" for rep in (0, 3)
+            f"replicate {rep}: train set contains no group 'b' records" for rep in (0, 3)
         ]
 
 

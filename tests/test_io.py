@@ -4,7 +4,10 @@ import csv
 import json
 import math
 import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -236,7 +239,37 @@ def test_field_over_the_csv_limit(tmp_path):
     path = tmp_path / "scores.csv"
     path.write_text(f"{HEADER}\nr0,0.5,1,a\n{'r' * (csv.field_size_limit() + 1)},0.5,1,a\n")
     assert _read(read_score_file, path) == _read(oracles.loop_read_score_file, path)
-    assert _read(read_score_file, path)[0] is csv.Error
+    assert _read(read_score_file, path) == (
+        ScoreFileError, f"{path}:3: field larger than field limit ({csv.field_size_limit()})"
+    )
+
+
+def _records_in_a_child(path, **env) -> str:
+    """The records a child process run with ``env`` reads from the score file
+    at ``path``, as printed lists, or the last line of its stderr."""
+    src = Path(fairpot_io.__file__).resolve().parents[1]
+    code = (
+        "import sys; from fairpot.io import read_score_file; s = read_score_file(sys.argv[1]); "
+        "print(s.scores.tolist(), s.labels.tolist(), s.groups.tolist())"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(path)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, **env, "PYTHONPATH": str(src)},
+        timeout=120,
+    )
+    return proc.stdout if proc.returncode == 0 else proc.stderr.splitlines()[-1]
+
+
+def test_score_file_is_utf8_whatever_the_locale(tmp_path):
+    # a byte above 0x7F sends the file to the row reader
+    path = tmp_path / "scores.csv"
+    path.write_bytes(f"{HEADER}\n\u00e9,0.5,1,a\nr1,0.25,0,b\n".encode())
+    no_utf8_mode = {"PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+    records = _records_in_a_child(path, LC_ALL="C", **no_utf8_mode)
+    assert records == _records_in_a_child(path, LC_ALL="C.UTF-8", **no_utf8_mode)
+    assert records == "[0.5, 0.25] [1, 0] ['a', 'b']\n"
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
@@ -504,7 +537,9 @@ class TestAtomicWrites:
         ),
         "results": lambda path: write_sweep_results(TestAtomicWrites.ROWS, path),
         "summary": lambda path: write_sweep_summary(TestAtomicWrites.ROWS, path),
-        "svg": lambda path: render_tradeoff_svg(path, series=[("m", [(0.1, 0.7), (0.2, 0.8)])]),
+        "svg": lambda path: render_tradeoff_svg(
+            path, "m", [(0.1, 0.7), (0.2, 0.8)], [(0.1, 0.7)], "t"
+        ),
     }
 
     @pytest.mark.parametrize("writer", sorted(WRITERS))

@@ -89,15 +89,20 @@ class TestScoreSet:
             assert arr.dtype == np.dtype(dtype) and arr.tolist() == want
             assert not arr.flags.writeable
 
-    def test_with_scores_shares_cells_once_computed(self):
+    def test_with_scores_computes_its_own_cells(self):
+        # a set of new scores computes its own cells, equal to its parent's, when asked
         s = make_set([0.2, 0.9, 0.5], [1, 0, 1], ["a", "b", "a"])
-        assert "cells" not in s.with_scores(np.array([0.1, 0.2, 0.3])).__dict__
         cells = s.cells
-        assert s.with_scores(np.array([0.1, 0.2, 0.3])).cells is cells
+        mapped = s.with_scores(np.array([0.1, 0.2, 0.3]))
+        assert "cells" not in mapped.__dict__
+        assert mapped.cells is not cells
+        assert {k: v.tolist() for k, v in mapped.cells.items()} == {
+            k: v.tolist() for k, v in cells.items()
+        }
 
     def test_shared_cells_are_read_only(self):
-        # a write into one set's cells would move the records of every set
-        # that shares them
+        # region_cells hands out a set's own cells: a write into them would
+        # move the records that every replicate evaluates
         s = make_set([0.2, 0.9, 0.5, 0.4], [1, 0, 1, 0], ["b", "b", "a", "a"])
         with pytest.raises(ValueError, match="read-only"):
             s.cells[1, GROUP_A][0] = 3
